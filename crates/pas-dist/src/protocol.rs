@@ -7,7 +7,7 @@
 //! |-------|-----------------|
 //! | `POST /dist/register` | `{"name","threads"}` → worker id + timing contract |
 //! | `POST /dist/heartbeat` | `{"worker"}` → `{"ok","drain"}` (renews all leases) |
-//! | `POST /dist/lease` | `{"worker"}` → a [`ShardGrant`], `{"drain":true}`, or `204` |
+//! | `POST /dist/lease` | `{"worker"}` → a [`ShardGrant`], `{"drain":true}`, or `204` after a long-poll |
 //! | `POST /dist/report` | a [`ShardReport`] (text) → `{"accepted","duplicates"}` |
 //!
 //! Control messages are flat JSON decoded with `pas_server::json`. Shard
@@ -60,14 +60,18 @@ pub struct Registered {
     pub heartbeat_ms: u64,
     /// How long a lease lives between renewals.
     pub lease_ms: u64,
+    /// Whether an idle `POST /dist/lease` waits server-side for work (up
+    /// to `heartbeat_ms`) before its `204`. Servers that predate the
+    /// long-poll omit the field, which decodes as `false`.
+    pub long_poll: bool,
 }
 
 impl Registered {
     /// Encode as the response body.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"worker\":{},\"heartbeat_ms\":{},\"lease_ms\":{}}}",
-            self.worker, self.heartbeat_ms, self.lease_ms
+            "{{\"worker\":{},\"heartbeat_ms\":{},\"lease_ms\":{},\"long_poll\":{}}}",
+            self.worker, self.heartbeat_ms, self.lease_ms, self.long_poll
         )
     }
 
@@ -77,6 +81,7 @@ impl Registered {
             worker: json::find_u64(body, "worker")?,
             heartbeat_ms: json::find_u64(body, "heartbeat_ms")?,
             lease_ms: json::find_u64(body, "lease_ms")?,
+            long_poll: json::find_bool(body, "long_poll").unwrap_or(false),
         })
     }
 }
@@ -419,8 +424,18 @@ mod tests {
             worker: 9,
             heartbeat_ms: 1000,
             lease_ms: 10_000,
+            long_poll: true,
         };
         assert_eq!(Registered::from_json(&ack.to_json()).unwrap(), ack);
+        // A pre-long-poll server's answer decodes as "no long-poll".
+        let old = Registered::from_json(r#"{"worker":9,"heartbeat_ms":1000,"lease_ms":10000}"#);
+        assert_eq!(
+            old,
+            Some(Registered {
+                long_poll: false,
+                ..ack
+            })
+        );
 
         let grant = ShardGrant {
             job: 3,

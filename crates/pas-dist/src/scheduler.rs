@@ -26,6 +26,21 @@
 //! exactly once no matter how many workers raced on it. Results flow
 //! into the same on-disk cache as local execution, so a distributed
 //! batch warms exactly the entries a local one would.
+//!
+//! ## Long-polled leases
+//!
+//! A lease request that finds nothing to grant does not answer at once:
+//! it blocks until a shard can be granted, a queued job can be claimed,
+//! or the fleet is drained, for at most the heartbeat interval the
+//! worker registered under (then `204`, and the worker asks again). The
+//! wait runs outside the state lock on the job queue's [`Signal`], an
+//! eventcount bumped on every event that can change a lease's answer:
+//! a submit, a job entering the shard table (or leaving the claim
+//! stage), a shard re-pended by lease expiry or a partial report, a
+//! drain, and a job completing. A waiter reads the epoch before it
+//! checks the state, so an event between check and wait is never lost.
+//!
+//! [`Signal`]: pas_server::Signal
 
 use crate::protocol::{Register, Registered, ShardGrant, ShardReport};
 use pas_scenario::{expand, reduce, BatchResult, Manifest, RunRecord};
@@ -68,7 +83,7 @@ impl Default for SchedulerOptions {
 pub enum LeaseOutcome {
     /// A shard to execute.
     Granted(ShardGrant),
-    /// Nothing to do right now; poll again.
+    /// Nothing to do within the wait; ask again.
     Idle,
     /// Server is draining and all work is finished — exit.
     Drain,
@@ -205,6 +220,7 @@ impl Scheduler {
             worker: id,
             heartbeat_ms: self.opts.heartbeat.as_millis() as u64,
             lease_ms: self.opts.lease.as_millis() as u64,
+            long_poll: true,
         }
     }
 
@@ -263,6 +279,12 @@ impl Scheduler {
     /// Stop claiming new jobs; workers exit once all active jobs finish.
     pub fn drain(&self) {
         self.lock().draining = true;
+        self.wake();
+    }
+
+    /// Wake every long-polled lease to re-check the state.
+    fn wake(&self) {
+        self.queue.signal().bump();
     }
 
     /// Whether the scheduler is draining.
@@ -274,16 +296,30 @@ impl Scheduler {
     /// Called from the ticker thread and opportunistically from idle
     /// lease requests.
     pub fn tick(&self) {
-        {
-            let mut s = self.lock();
-            let now = Instant::now();
-            expire(&mut s, now, self.opts.lease);
+        if expire(&mut self.lock(), Instant::now(), self.opts.lease) {
+            self.wake();
         }
         self.try_claim_job();
     }
 
-    /// Grant a shard to `worker`, or explain why not.
-    pub fn lease(&self, worker: u64) -> LeaseOutcome {
+    /// Grant a shard to `worker`, or explain why not. When nothing can be
+    /// granted, wait up to `wait` for an event that may change that (see
+    /// the module docs); `Duration::ZERO` answers at once. The HTTP route
+    /// waits the registered heartbeat interval.
+    pub fn lease(&self, worker: u64, wait: Duration) -> LeaseOutcome {
+        let deadline = Instant::now() + wait;
+        let signal = self.queue.signal();
+        loop {
+            let seen = signal.epoch();
+            let outcome = self.try_lease(worker);
+            if outcome != LeaseOutcome::Idle || !signal.wait(seen, deadline) {
+                return outcome;
+            }
+        }
+    }
+
+    /// One non-blocking attempt of [`Scheduler::lease`].
+    fn try_lease(&self, worker: u64) -> LeaseOutcome {
         let _prof = pas_obs::profile::scope("sched.lease");
         {
             let mut s = self.lock();
@@ -292,7 +328,9 @@ impl Scheduler {
                 Some(w) => w.last_seen = now,
                 None => return LeaseOutcome::Unknown,
             }
-            expire(&mut s, now, self.opts.lease);
+            if expire(&mut s, now, self.opts.lease) {
+                self.wake();
+            }
             if let Some(grant) = next_grant(&mut s, worker, now, self.opts.lease) {
                 return LeaseOutcome::Granted(grant);
             }
@@ -371,6 +409,7 @@ impl Scheduler {
         // Retire the lease; anything it covered that is still unfilled
         // (a partial report) goes back to pending.
         let retired = job.leases.remove(&report.shard);
+        let mut re_pended = false;
         if let Some(lease) = &retired {
             let leftover: Vec<usize> = lease
                 .indices
@@ -380,6 +419,7 @@ impl Scheduler {
                 .collect();
             if !leftover.is_empty() {
                 job.pending.push_front((leftover, true));
+                re_pended = true;
             }
         }
         let trace = job.trace;
@@ -491,8 +531,13 @@ impl Scheduler {
                 let _ = self.cache.store(key, record);
             }
             self.queue.complete(job_id, batch, stats);
+            // A free slot under `max_active_jobs`, or a drained fleet.
+            self.wake();
         } else {
             drop(s);
+            if re_pended {
+                self.wake();
+            }
             for (key, record) in &to_store {
                 let _ = self.cache.store(key, record);
             }
@@ -524,8 +569,10 @@ impl Scheduler {
             s.claiming += 1;
             (live, self.opts.shard_points, claimed)
         };
+        // Leaving the claim stage can release a draining fleet.
         let finish_claim = || {
             self.lock().claiming -= 1;
+            self.wake();
         };
         let (id, manifest) = claimed;
         let trace = self.queue.status(id).map(|j| j.trace);
@@ -605,9 +652,13 @@ impl Scheduler {
             executed: 0,
             trace,
         };
-        let mut s = self.lock();
-        s.claiming -= 1;
-        s.jobs.insert(id, job);
+        {
+            let mut s = self.lock();
+            s.claiming -= 1;
+            s.jobs.insert(id, job);
+        }
+        // Other blocked workers see the new job's shards.
+        self.wake();
     }
 
     /// `GET /healthz` body: liveness, version, uptime, queue depth, fleet
@@ -736,7 +787,7 @@ impl Scheduler {
                 let Some(worker) = json::find_u64(&body(), "worker") else {
                     return Some(Response::error(400, "malformed lease body"));
                 };
-                Some(match self.lease(worker) {
+                Some(match self.lease(worker, self.opts.heartbeat) {
                     LeaseOutcome::Granted(grant) => Response::json(200, grant.to_json()),
                     LeaseOutcome::Idle => Response::new(204, "application/json", ""),
                     LeaseOutcome::Drain => Response::json(200, "{\"drain\":true}"),
@@ -801,9 +852,10 @@ fn worker_label(workers: &BTreeMap<u64, WorkerEntry>, id: u64) -> String {
 }
 
 /// Return expired leases' unfilled indices to pending and forget workers
-/// silent for three lease intervals.
-fn expire(s: &mut State, now: Instant, lease: Duration) {
+/// silent for three lease intervals. Returns whether anything re-pended.
+fn expire(s: &mut State, now: Instant, lease: Duration) -> bool {
     let State { jobs, workers, .. } = s;
+    let mut re_pended = false;
     for job in jobs.values_mut() {
         let expired: Vec<u64> = job
             .leases
@@ -840,10 +892,12 @@ fn expire(s: &mut State, now: Instant, lease: Duration) {
                 .collect();
             if !unfilled.is_empty() {
                 job.pending.push_front((unfilled, true));
+                re_pended = true;
             }
         }
     }
     workers.retain(|_, w| now.duration_since(w.last_seen) <= lease * 3);
+    re_pended
 }
 
 /// Pop the next pending shard (oldest job first), filter already-filled
@@ -981,7 +1035,7 @@ mod tests {
         });
         let mut shards = 0;
         loop {
-            match sched.lease(w.worker) {
+            match sched.lease(w.worker, Duration::ZERO) {
                 LeaseOutcome::Granted(grant) => {
                     let ack = sched.report(&run_grant(&grant, w.worker)).unwrap();
                     assert_eq!(ack.duplicates, 0);
@@ -1010,7 +1064,10 @@ mod tests {
         // Resubmission is fully warm: completes with zero executions and
         // no worker round trip.
         let id2 = queue.submit(m, n).unwrap();
-        assert!(matches!(sched.lease(w.worker), LeaseOutcome::Idle));
+        assert!(matches!(
+            sched.lease(w.worker, Duration::ZERO),
+            LeaseOutcome::Idle
+        ));
         let job2 = queue.status(id2).unwrap();
         assert_eq!(job2.phase, JobPhase::Completed, "warm job: {:?}", job2);
         assert_eq!(job2.stats.hits, n as u64);
@@ -1036,7 +1093,7 @@ mod tests {
             name: "dead".into(),
             threads: 1,
         });
-        let LeaseOutcome::Granted(doomed) = sched.lease(dead.worker) else {
+        let LeaseOutcome::Granted(doomed) = sched.lease(dead.worker, Duration::ZERO) else {
             panic!("no grant for first worker");
         };
         // The "dead" worker executes its shard but never reports in time;
@@ -1048,7 +1105,7 @@ mod tests {
         });
         let mut reexecuted = false;
         loop {
-            match sched.lease(live.worker) {
+            match sched.lease(live.worker, Duration::ZERO) {
                 LeaseOutcome::Granted(grant) => {
                     if grant.indices.iter().any(|i| doomed.indices.contains(i)) {
                         reexecuted = true;
@@ -1089,7 +1146,7 @@ mod tests {
             name: "w".into(),
             threads: 1,
         });
-        let LeaseOutcome::Granted(grant) = sched.lease(w.worker) else {
+        let LeaseOutcome::Granted(grant) = sched.lease(w.worker, Duration::ZERO) else {
             panic!("no grant");
         };
         let mut report = run_grant(&grant, w.worker);
@@ -1110,16 +1167,173 @@ mod tests {
         let m = tiny_manifest();
         let n = expand(&m).unwrap().len();
         let id = queue.submit(m, n).unwrap();
-        assert!(matches!(sched.lease(w.worker), LeaseOutcome::Drain));
+        assert!(matches!(
+            sched.lease(w.worker, Duration::ZERO),
+            LeaseOutcome::Drain
+        ));
         // The job was never claimed by the draining scheduler.
         assert_eq!(queue.status(id).unwrap().phase, JobPhase::Queued);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Wake-up tests: the long-poll cap sits far above the assertion, so
+    /// a lost wake-up fails the test instead of slowing it, and a working
+    /// one passes by orders of magnitude.
+    const CAP: Duration = Duration::from_secs(60);
+    const PROMPT: Duration = Duration::from_secs(10);
+
+    fn long_poll_opts(lease: Duration) -> SchedulerOptions {
+        SchedulerOptions {
+            heartbeat: CAP,
+            lease,
+            shard_points: 1000,
+            ..SchedulerOptions::default()
+        }
+    }
+
+    fn worker(sched: &Scheduler, name: &str) -> u64 {
+        sched
+            .register(&Register {
+                name: name.into(),
+                threads: 1,
+            })
+            .worker
+    }
+
+    /// A fresh worker's lease, long-polled on its own thread with the
+    /// registered heartbeat as its cap, as `POST /dist/lease` runs it.
+    /// Returns once the lease is parked in its wait, so the event the
+    /// caller fires next must wake it.
+    fn blocked_lease(sched: &Scheduler, name: &str) -> std::thread::JoinHandle<LeaseOutcome> {
+        let w = worker(sched, name);
+        let parked = sched.queue.signal().waiters() + 1;
+        let handle = {
+            let sched = sched.clone();
+            std::thread::spawn(move || {
+                let t0 = Instant::now();
+                let outcome = sched.lease(w, sched.opts.heartbeat);
+                assert!(t0.elapsed() < PROMPT, "woke after {:?}", t0.elapsed());
+                outcome
+            })
+        };
+        while sched.queue.signal().waiters() < parked && !handle.is_finished() {
+            std::thread::yield_now();
+        }
+        handle
+    }
+
+    fn submit_tiny(queue: &JobQueue) -> u64 {
+        let m = tiny_manifest();
+        let n = expand(&m).unwrap().len();
+        queue.submit(m, n).unwrap()
+    }
+
+    #[test]
+    fn long_poll_wakes_on_submit_and_on_new_shards() {
+        let opts = SchedulerOptions {
+            shard_points: 1,
+            ..long_poll_opts(Duration::from_secs(600))
+        };
+        let (sched, queue, dir) = harness("wake_submit", opts);
+        // Two waiters: one claims the job, the other wakes again when
+        // the claimed job's shards enter the table.
+        let a = blocked_lease(&sched, "a");
+        let b = blocked_lease(&sched, "b");
+        submit_tiny(&queue);
+        assert!(matches!(a.join().unwrap(), LeaseOutcome::Granted(_)));
+        assert!(matches!(b.join().unwrap(), LeaseOutcome::Granted(_)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn long_poll_wakes_on_re_pend_after_expiry() {
+        let lease = Duration::from_millis(300);
+        let (sched, queue, dir) = harness("wake_expiry", long_poll_opts(lease));
+        submit_tiny(&queue);
+        let dead = worker(&sched, "dead");
+        let LeaseOutcome::Granted(doomed) = sched.lease(dead, Duration::ZERO) else {
+            panic!("no grant for the first worker");
+        };
+        let live = blocked_lease(&sched, "live");
+        std::thread::sleep(lease);
+        // The ticker's expiry pass re-pends the dead worker's shard.
+        sched.tick();
+        let LeaseOutcome::Granted(grant) = live.join().unwrap() else {
+            panic!("re-pended shard not granted");
+        };
+        assert_eq!(grant.indices, doomed.indices);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn long_poll_wakes_on_partial_report() {
+        let (sched, queue, dir) = harness("wake_partial", long_poll_opts(Duration::from_secs(600)));
+        submit_tiny(&queue);
+        let a = worker(&sched, "a");
+        let LeaseOutcome::Granted(grant) = sched.lease(a, Duration::ZERO) else {
+            panic!("no grant");
+        };
+        assert!(grant.indices.len() > 1);
+        let b = blocked_lease(&sched, "b");
+        let mut report = run_grant(&grant, a);
+        report.points.truncate(1);
+        sched.report(&report).unwrap();
+        let LeaseOutcome::Granted(rest) = b.join().unwrap() else {
+            panic!("partial report's leftover not granted");
+        };
+        assert_eq!(rest.indices, grant.indices[1..]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn long_poll_wakes_on_drain() {
+        let (sched, _queue, dir) = harness("wake_drain", long_poll_opts(Duration::from_secs(600)));
+        let idle = blocked_lease(&sched, "idle");
+        sched.drain();
+        assert_eq!(idle.join().unwrap(), LeaseOutcome::Drain);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn long_poll_wakes_on_completion_while_draining() {
+        let (sched, queue, dir) = harness("wake_done", long_poll_opts(Duration::from_secs(600)));
+        let id = submit_tiny(&queue);
+        let a = worker(&sched, "a");
+        let LeaseOutcome::Granted(grant) = sched.lease(a, Duration::ZERO) else {
+            panic!("no grant");
+        };
+        sched.drain();
+        // Draining but a job is still sharded: the waiter must stay.
+        let b = blocked_lease(&sched, "b");
+        sched.report(&run_grant(&grant, a)).unwrap();
+        assert_eq!(queue.status(id).unwrap().phase, JobPhase::Completed);
+        assert_eq!(b.join().unwrap(), LeaseOutcome::Drain);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn empty_long_poll_answers_idle_at_the_cap() {
+        let opts = SchedulerOptions {
+            heartbeat: Duration::from_millis(50),
+            ..SchedulerOptions::default()
+        };
+        let (sched, _queue, dir) = harness("wake_none", opts);
+        let w = worker(&sched, "w");
+        let t0 = Instant::now();
+        assert_eq!(sched.lease(w, opts.heartbeat), LeaseOutcome::Idle);
+        let waited = t0.elapsed();
+        assert!(waited >= opts.heartbeat, "answered early: {waited:?}");
+        assert!(waited < PROMPT, "overshot the cap: {waited:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn unknown_worker_must_re_register() {
         let (sched, _queue, dir) = harness("unknown", SchedulerOptions::default());
-        assert!(matches!(sched.lease(42), LeaseOutcome::Unknown));
+        assert!(matches!(
+            sched.lease(42, Duration::ZERO),
+            LeaseOutcome::Unknown
+        ));
         assert_eq!(sched.heartbeat(42, None, None), None);
         let _ = std::fs::remove_dir_all(&dir);
     }

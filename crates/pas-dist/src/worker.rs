@@ -3,7 +3,10 @@
 //! A worker registers with the server, then loops: lease a shard →
 //! reconstruct its points with `pas_scenario::point_at` → execute them on
 //! a persistent local pool (`pas_sweep::WorkerPool`, reused across every
-//! shard) → report results with their content keys. A background thread
+//! shard) → report results with their content keys. An idle lease is
+//! long-polled: the server holds it until work appears (or one heartbeat
+//! interval passes), so the worker asks again at once on a `204` and
+//! never sleeps on a duty cycle of its own. A background thread
 //! heartbeats on the server's advertised cadence, renewing all held
 //! leases; if the process dies, heartbeats stop, the lease expires, and
 //! the server re-leases the shard to a live worker — no worker-side
@@ -17,9 +20,17 @@ use pas_server::json;
 use pas_server::{ClientError, ResultCache, RetryPolicy};
 use pas_sweep::WorkerPool;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Idle wait after a `204` from a server that predates the long-poll
+/// (its register answer lacks `long_poll`), so the worker never spins.
+const IDLE_FALLBACK: Duration = Duration::from_millis(200);
+
+/// Base of the jittered backoff between failed lease round trips.
+const IO_BACKOFF_BASE: Duration = Duration::from_millis(100);
 
 /// Worker configuration.
 #[derive(Debug, Clone)]
@@ -28,8 +39,6 @@ pub struct WorkerOptions {
     pub name: String,
     /// Local execution threads (0 = one per core).
     pub threads: usize,
-    /// Idle poll interval when no work is pending.
-    pub poll: Duration,
     /// Exit after completing this many shards (`None` = run until drain).
     pub max_shards: Option<u64>,
     /// Fault injection for tests and drills: die — stop abruptly without
@@ -45,7 +54,6 @@ impl Default for WorkerOptions {
         WorkerOptions {
             name: format!("worker-{}", std::process::id()),
             threads: 0,
-            poll: Duration::from_millis(200),
             max_shards: None,
             fail_after_points: None,
             verbose: false,
@@ -140,22 +148,20 @@ pub fn run(addr: &str, opts: WorkerOptions) -> Result<WorkerSummary, ClientError
     // share the server's tag, which is accurate there anyway.
     pas_obs::trace::set_proc(&format!("worker:{}", opts.name));
     let reg = register(addr, &opts)?;
+    let mut long_poll = reg.long_poll;
     let worker_id = Arc::new(AtomicU64::new(reg.worker));
-    let stop = Arc::new(AtomicBool::new(false));
     let telemetry = Arc::new(Telemetry::default());
 
+    // Dropping `stop` (on every return path) ends the heartbeat thread
+    // at once instead of after its current interval.
+    let (stop, stopped) = mpsc::channel::<()>();
     let beat = {
         let addr = addr.to_string();
         let worker_id = Arc::clone(&worker_id);
-        let stop = Arc::clone(&stop);
         let telemetry = Arc::clone(&telemetry);
         let interval = Duration::from_millis(reg.heartbeat_ms.max(10));
         std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                 // Each beat carries the cumulative execute telemetry so
                 // the scheduler can publish per-worker points/busy-time
                 // without an extra round trip.
@@ -242,8 +248,11 @@ pub fn run(addr: &str, opts: WorkerOptions) -> Result<WorkerSummary, ClientError
                 // flight — if one of them dies, this worker must still
                 // be around to inherit the re-lease. Exit only on the
                 // server's explicit `{"drain":true}` (fleet truly done).
+                // A long-polling server already waited; ask again now.
                 io_failures = 0;
-                std::thread::sleep(opts.poll);
+                if !long_poll {
+                    std::thread::sleep(IDLE_FALLBACK);
+                }
             }
             Ok((410, _)) => {
                 // The server forgot us (restart, long GC of the fleet):
@@ -251,6 +260,7 @@ pub fn run(addr: &str, opts: WorkerOptions) -> Result<WorkerSummary, ClientError
                 let reg = register(addr, &opts)?;
                 worker_id.store(reg.worker, Ordering::Relaxed);
                 summary.worker = reg.worker;
+                long_poll = reg.long_poll;
             }
             Ok((status, resp)) => {
                 break Err(ClientError::Api(
@@ -268,7 +278,7 @@ pub fn run(addr: &str, opts: WorkerOptions) -> Result<WorkerSummary, ClientError
                 }
                 RetryPolicy {
                     attempts: u32::MAX,
-                    base: opts.poll.max(Duration::from_millis(100)),
+                    base: IO_BACKOFF_BASE,
                     max: Duration::from_secs(2),
                 }
                 .sleep(io_failures - 1);
@@ -276,7 +286,7 @@ pub fn run(addr: &str, opts: WorkerOptions) -> Result<WorkerSummary, ClientError
         }
     };
 
-    stop.store(true, Ordering::Relaxed);
+    drop(stop);
     let _ = beat.join();
     outcome.map(|()| summary)
 }

@@ -5,12 +5,13 @@
 
 use pas_dist::{Scheduler, SchedulerOptions, WorkerOptions, WorkerSummary};
 use pas_scenario::{execute, registry, ExecOptions, Manifest};
-use pas_server::{Client, ClientError, ResultCache, ResultFormat, Server, ServerOptions};
+use pas_server::{Client, ClientError, JobQueue, ResultCache, ResultFormat, Server, ServerOptions};
 use std::time::Duration;
 
 struct Rig {
     addr: String,
     client: Client,
+    queue: JobQueue,
     dir: std::path::PathBuf,
 }
 
@@ -25,13 +26,15 @@ fn boot(tag: &str, sched: SchedulerOptions) -> Rig {
     };
     let mut server = Server::bind("127.0.0.1:0", cache.clone(), opts).unwrap();
     let addr = server.local_addr().unwrap().to_string();
-    let scheduler = Scheduler::new(server.queue(), cache, sched);
+    let queue = server.queue();
+    let scheduler = Scheduler::new(queue.clone(), cache, sched);
     scheduler.spawn_ticker();
     server.set_router(scheduler.into_router());
     std::thread::spawn(move || server.run());
     Rig {
         client: Client::new(addr.clone()),
         addr,
+        queue,
         dir,
     }
 }
@@ -49,6 +52,18 @@ fn spawn_worker(
 ) -> std::thread::JoinHandle<Result<WorkerSummary, ClientError>> {
     let addr = addr.to_string();
     std::thread::spawn(move || pas_dist::worker::run(&addr, opts))
+}
+
+/// Block until `/healthz` counts `n` registered workers.
+fn await_workers(rig: &Rig, n: u64) {
+    for _ in 0..500 {
+        let h = rig.client.healthz().unwrap();
+        if pas_server::json::find_u64(&h, "workers") == Some(n) {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    panic!("{n} worker(s) never registered");
 }
 
 /// The acceptance scenario: one worker is killed mid-job (it executes a
@@ -80,7 +95,6 @@ fn worker_death_mid_job_preserves_bytes_and_counts() {
         WorkerOptions {
             name: "victim".into(),
             threads: 1,
-            poll: Duration::from_millis(10),
             fail_after_points: Some(4),
             verbose: false,
             ..WorkerOptions::default()
@@ -100,7 +114,6 @@ fn worker_death_mid_job_preserves_bytes_and_counts() {
         WorkerOptions {
             name: "survivor".into(),
             threads: 1,
-            poll: Duration::from_millis(10),
             verbose: false,
             ..WorkerOptions::default()
         },
@@ -171,22 +184,12 @@ fn healthz_and_submit_backoff() {
         WorkerOptions {
             name: "w".into(),
             threads: 1,
-            poll: Duration::from_millis(10),
             verbose: false,
             ..WorkerOptions::default()
         },
     );
     // The worker registers quickly; healthz counts it.
-    let mut saw_worker = false;
-    for _ in 0..100 {
-        let h = rig.client.healthz().unwrap();
-        if pas_server::json::find_u64(&h, "workers") == Some(1) {
-            saw_worker = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert!(saw_worker, "healthz never showed the registered worker");
+    await_workers(&rig, 1);
 
     // submit_with_retry succeeds against a live server without retries...
     let m = small_manifest();
@@ -216,5 +219,74 @@ fn healthz_and_submit_backoff() {
 
     rig.client.drain().unwrap();
     worker.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&rig.dir);
+}
+
+/// Long-poll timing contract: a 30 s heartbeat is also the lease
+/// long-poll cap, far above the 10 s assertions, so a lost wake-up or a
+/// heartbeat-bound exit fails instead of merely slowing the test.
+fn long_poll_rig(tag: &str) -> Rig {
+    boot(
+        tag,
+        SchedulerOptions {
+            heartbeat: Duration::from_secs(30),
+            lease: Duration::from_secs(90),
+            ..SchedulerOptions::default()
+        },
+    )
+}
+
+const PROMPT: Duration = Duration::from_secs(10);
+
+/// A default-options worker that went idle takes a job submitted later
+/// at once: the submit wakes its long-polled lease.
+#[test]
+fn idle_worker_is_woken_by_a_later_submit() {
+    let rig = long_poll_rig("wake");
+    let worker = spawn_worker(
+        &rig.addr,
+        WorkerOptions {
+            name: "idle".into(),
+            ..WorkerOptions::default()
+        },
+    );
+    await_workers(&rig, 1);
+    // Its first lease found nothing and parked: the submit must wake it.
+    let t0 = std::time::Instant::now();
+    while rig.queue.signal().waiters() == 0 {
+        assert!(t0.elapsed() < PROMPT, "the idle lease never parked");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let t0 = std::time::Instant::now();
+    let id = rig.client.submit(&small_manifest().to_toml()).unwrap();
+    let done = rig.client.wait(id, Duration::from_millis(5)).unwrap();
+    assert_eq!(done.phase, "completed", "error: {:?}", done.error);
+    assert!(t0.elapsed() < PROMPT, "job took {:?}", t0.elapsed());
+
+    rig.client.drain().unwrap();
+    worker.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&rig.dir);
+}
+
+/// A drained worker exits promptly, not one heartbeat interval later:
+/// the drain wakes its lease and the stop wakes its heartbeat thread.
+#[test]
+fn drained_worker_exits_without_waiting_out_its_heartbeat() {
+    let rig = long_poll_rig("exit");
+    let worker = spawn_worker(
+        &rig.addr,
+        WorkerOptions {
+            name: "exiting".into(),
+            threads: 1,
+            ..WorkerOptions::default()
+        },
+    );
+    await_workers(&rig, 1);
+    let t0 = std::time::Instant::now();
+    rig.client.drain().unwrap();
+    let summary = worker.join().unwrap().unwrap();
+    assert!(t0.elapsed() < PROMPT, "worker exit took {:?}", t0.elapsed());
+    assert_eq!(summary.shards, 0);
     let _ = std::fs::remove_dir_all(&rig.dir);
 }

@@ -167,7 +167,7 @@ proptest! {
             let reg = sched.register(&Register { name: format!("mortal-{w}"), threads: 1 });
             let mut left = budget as usize;
             loop {
-                match sched.lease(reg.worker) {
+                match sched.lease(reg.worker, Duration::ZERO) {
                     LeaseOutcome::Granted(grant) => {
                         if grant.indices.len() > left {
                             // Dies mid-shard: executes what it can, never
@@ -201,7 +201,7 @@ proptest! {
                 sched.report(&z).unwrap();
                 continue;
             }
-            match sched.lease(reg.worker) {
+            match sched.lease(reg.worker, Duration::ZERO) {
                 LeaseOutcome::Granted(grant) => {
                     let full = partial_report(&m, &grant, reg.worker, grant.indices.len());
                     sched.report(&full).unwrap();

@@ -176,7 +176,10 @@ impl ResultCache {
 
     /// Store an entry (atomic rename; concurrent writers of the same key
     /// are idempotent because the content is identical by construction).
+    /// Each call writes its own temp file — pid plus a process-wide
+    /// counter — so two threads storing one key never share one.
     pub fn store(&self, key: &str, record: &RunRecord) -> io::Result<()> {
+        static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
         let _prof = pas_obs::profile::scope("cache.store");
         let start_us = pas_obs::trace::now_us();
         let t0 = std::time::Instant::now();
@@ -185,9 +188,19 @@ impl ResultCache {
             "{CACHE_VERSION}\n{}\n{payload}",
             hex(&sha256(payload.as_bytes()))
         );
-        let tmp = self.dir.join(format!("{key}.tmp.{}", std::process::id()));
-        std::fs::write(&tmp, &text)?;
-        std::fs::rename(&tmp, self.entry_path(key))?;
+        let tmp = self.dir.join(format!(
+            "{key}.tmp.{}.{}",
+            std::process::id(),
+            NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+        ));
+        // A failed write or rename removes its temp file: unique names
+        // are never overwritten later, so a leftover would stay for good.
+        if let Err(e) =
+            std::fs::write(&tmp, &text).and_then(|()| std::fs::rename(&tmp, self.entry_path(key)))
+        {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
         pas_obs::inc("pas.cache.store.count", &[]);
         pas_obs::add("pas.cache.write.bytes", &[], text.len() as u64);
         if let Some((trace, parent)) = pas_obs::trace::current() {

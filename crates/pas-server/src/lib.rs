@@ -44,7 +44,7 @@ pub use client::{
     retry_cause, Client, ClientError, HistoryFormat, JobStatus, ProfileFormat, ReportFormat,
     ResultFormat, RetryPolicy, TraceFormat,
 };
-pub use queue::{Job, JobPhase, JobQueue, JobTrace, SubmitError};
+pub use queue::{Job, JobPhase, JobQueue, JobTrace, Signal, SubmitError};
 pub use server::{Router, Server, ServerOptions};
 
 /// Commonly used items, for glob import.

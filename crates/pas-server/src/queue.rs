@@ -12,6 +12,7 @@
 use crate::cache::{execute_with_cache_traced, CacheStats, ResultCache};
 use pas_scenario::{BatchResult, ExecOptions, Manifest};
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -90,6 +91,70 @@ struct Inner {
     jobs: Mutex<JobTable>,
     /// Signalled on every push (and on shutdown).
     available: Condvar,
+    /// Bumped on every push; see [`JobQueue::signal`].
+    signal: Signal,
+}
+
+/// A change counter ("eventcount") for blocking on events without
+/// losing wake-ups. A waiter reads [`Signal::epoch`] *before* checking
+/// the state it cares about and then [`Signal::wait`]s only while the
+/// epoch is unchanged, so an event landing between the check and the
+/// wait is never missed. [`Signal::bump`] costs two atomic operations
+/// while nobody waits; only a registered waiter makes it lock and notify.
+#[derive(Default)]
+pub struct Signal {
+    epoch: AtomicU64,
+    waiters: AtomicUsize,
+    lock: Mutex<()>,
+    changed: Condvar,
+}
+
+impl Signal {
+    /// The current epoch.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(SeqCst)
+    }
+
+    /// Publish an event: advance the epoch and wake every waiter.
+    pub fn bump(&self) {
+        self.epoch.fetch_add(1, SeqCst);
+        // A waiter registers under `lock` and holds it until the condvar
+        // parks it, so taking the lock here orders this notify after
+        // the park. A waiter not yet registered reads the new epoch.
+        if self.waiters.load(SeqCst) > 0 {
+            let _parked = self.lock.lock().expect("signal poisoned");
+            self.changed.notify_all();
+        }
+    }
+
+    /// Threads currently inside [`Signal::wait`]. Once a waiter counts
+    /// here, a later [`Signal::bump`] is certain to notify it.
+    pub fn waiters(&self) -> usize {
+        self.waiters.load(SeqCst)
+    }
+
+    /// Block until the epoch moves past `seen` or `deadline` passes.
+    /// Returns whether it moved.
+    pub fn wait(&self, seen: u64, deadline: Instant) -> bool {
+        let mut guard = self.lock.lock().expect("signal poisoned");
+        self.waiters.fetch_add(1, SeqCst);
+        let moved = loop {
+            if self.epoch.load(SeqCst) != seen {
+                break true;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                break false;
+            }
+            guard = self
+                .changed
+                .wait_timeout(guard, deadline - now)
+                .expect("signal poisoned")
+                .0;
+        };
+        self.waiters.fetch_sub(1, SeqCst);
+        moved
+    }
 }
 
 struct JobTable {
@@ -129,6 +194,7 @@ impl JobQueue {
                     shutdown: false,
                 }),
                 available: Condvar::new(),
+                signal: Signal::default(),
             }),
             capacity,
         }
@@ -200,7 +266,17 @@ impl JobQueue {
         }
         drop(t);
         self.inner.available.notify_one();
+        self.inner.signal.bump();
         Ok(id)
+    }
+
+    /// The submit signal: bumped once per accepted submission. An
+    /// execution backend that waits for work on it (the distributed
+    /// scheduler's long-polled leases) may bump it for its own events
+    /// too; the in-process [`JobQueue::work`] threads never wait on it,
+    /// so they still wake only on submit and shutdown.
+    pub fn signal(&self) -> &Signal {
+        &self.inner.signal
     }
 
     /// Snapshot one job (without its result payload — copying the full
@@ -257,8 +333,9 @@ impl JobQueue {
     }
 
     /// Claim the oldest queued job without blocking, marking it `Running`.
-    /// Used by execution backends that poll (the distributed scheduler);
-    /// in-process workers use the blocking [`JobQueue::work`] loop.
+    /// Used by execution backends that wait on [`JobQueue::signal`] (the
+    /// distributed scheduler); in-process workers use the blocking
+    /// [`JobQueue::work`] loop.
     pub fn try_claim(&self) -> Option<(u64, Manifest)> {
         let mut t = self.inner.jobs.lock().expect("queue poisoned");
         t.claim_front()
@@ -410,6 +487,36 @@ mod tests {
         assert_eq!(q.submit(m.clone(), n), Err(SubmitError::Full));
         q.shutdown();
         assert_eq!(q.submit(m, n), Err(SubmitError::Closed));
+    }
+
+    #[test]
+    fn signal_wakes_a_waiter_and_times_out_without_an_event() {
+        use std::time::Duration;
+        let q = JobQueue::new(2);
+        let seen = q.signal().epoch();
+        // No event: the wait ends at its deadline.
+        let t0 = Instant::now();
+        assert!(!q.signal().wait(seen, t0 + Duration::from_millis(20)));
+        assert!(t0.elapsed() >= Duration::from_millis(20));
+        // A submit from another thread wakes a waiter parked with a
+        // deadline far beyond the assertion.
+        let submitter = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                while q.signal().waiters() == 0 {
+                    std::thread::yield_now();
+                }
+                let m = tiny_manifest();
+                let n = expand(&m).unwrap().len();
+                q.submit(m, n).unwrap();
+            })
+        };
+        let t0 = Instant::now();
+        assert!(q.signal().wait(seen, t0 + Duration::from_secs(60)));
+        assert!(t0.elapsed() < Duration::from_secs(10));
+        submitter.join().unwrap();
+        // An event that landed before the wait is not lost.
+        assert!(q.signal().wait(seen, Instant::now()));
     }
 
     #[test]

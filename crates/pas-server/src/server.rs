@@ -42,9 +42,11 @@ pub struct ServerOptions {
     pub local_exec: bool,
     /// Serve the observability exposition endpoints — Prometheus
     /// `GET /metrics` and the span tree `GET /jobs/:id/trace`
-    /// (`pas serve --metrics`). Collection itself is always on — this
-    /// only gates exposition, so a closed deployment is not forced to
-    /// publish its internals.
+    /// (`pas serve --metrics`). Metric collection itself is always on —
+    /// this only gates exposition, so a closed deployment is not forced
+    /// to publish its internals. Span recording is a process-wide switch
+    /// (`pas_obs::trace::set_tracing`), which `pas serve` ties to this
+    /// flag because spans have no other reader.
     pub metrics: bool,
     /// History sampling interval for `GET /metrics/history`
     /// (`pas serve --history-interval-ms`). The sampler thread only

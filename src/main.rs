@@ -104,7 +104,6 @@ WORKER OPTIONS:
     --connect HOST:PORT  server address          (default 127.0.0.1:8479)
     --threads N          local execution threads (default all cores)
     --name NAME          fleet display name      (default worker-<pid>)
-    --poll-ms N          idle lease poll interval (default 200)
     --max-shards N       exit after N shards (default: run until drain)
     --fail-after-points N  fault-injection drill: crash (no report) after
                          executing N points
@@ -656,6 +655,9 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         Ok(c) => c,
         Err(e) => return fail(format!("opening cache {}: {e}", serve.cache_dir.display())),
     };
+    // Spans are readable only through `GET /jobs/:id/trace`, which rides
+    // `--metrics`; without it, recording them would only fill memory.
+    pas_obs::trace::set_tracing(serve.opts.metrics);
     let warm = cache.len();
     let mut server = match Server::bind(serve.addr.as_str(), cache.clone(), serve.opts) {
         Ok(s) => s,
@@ -704,13 +706,6 @@ fn parse_worker_args(args: &[String]) -> Result<(String, WorkerOptions), String>
                     .map_err(|_| format!("--threads: `{v}` is not a number"))?;
             }
             "--name" => opts.name = it.next().ok_or("--name needs a value")?.clone(),
-            "--poll-ms" => {
-                let v = it.next().ok_or("--poll-ms needs a number")?;
-                opts.poll = Duration::from_millis(
-                    v.parse()
-                        .map_err(|_| format!("--poll-ms: `{v}` is not a number"))?,
-                );
-            }
             "--max-shards" => {
                 let v = it.next().ok_or("--max-shards needs a number")?;
                 opts.max_shards = Some(
@@ -2152,7 +2147,6 @@ fn cmd_bench_dist(max_workers: usize, out: PathBuf) -> ExitCode {
                 let opts = WorkerOptions {
                     name: format!("bench-{i}"),
                     threads: 1,
-                    poll: Duration::from_millis(10),
                     verbose: false,
                     ..WorkerOptions::default()
                 };
