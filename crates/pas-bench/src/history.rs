@@ -25,6 +25,7 @@
 //! previous one and fails on a drop beyond a tolerance — the CI
 //! regression gate `pas bench --gate` exposes.
 
+use pas_obs::json::{self, quote, Value};
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -95,92 +96,6 @@ impl From<io::Error> for HistoryError {
     }
 }
 
-// --- JSON scanning ----------------------------------------------------------
-
-fn scan_u64(json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn scan_string(json: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start().strip_prefix('"')?;
-    // Escape-aware: a `\"` inside the value must not terminate it.
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Every `"key": <number>` occurrence in the text, in order.
-fn scan_all_f64(json: &str, key: &str) -> Vec<f64> {
-    let needle = format!("\"{key}\":");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find(&needle) {
-        let tail = rest[at + needle.len()..].trim_start();
-        let end = tail
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .unwrap_or(tail.len());
-        if let Ok(v) = tail[..end].parse() {
-            out.push(v);
-        }
-        rest = &rest[at + needle.len()..];
-    }
-    out
-}
-
-/// `s` starts at `{`: index just past the matching `}` (string- and
-/// escape-aware).
-fn object_end(s: &str) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in s.char_indices() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i + 1);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 impl BenchHistory {
     /// Read a bench file, or `None` when it does not exist. Reads both
     /// the versioned history layout and legacy single-object files
@@ -196,71 +111,47 @@ impl BenchHistory {
 
     /// Parse a bench file body.
     pub fn parse(text: &str) -> Result<BenchHistory, HistoryError> {
-        // Legacy files have no top-level stamp; their payload starts at
-        // the `bench` key.
-        let is_versioned = text
-            .find("\"history\"")
-            .is_some_and(|h| text.find("\"schema_version\"").is_some_and(|s| s < h));
-        if !is_versioned {
-            let payload = text.trim();
-            let bench = scan_string(payload, "bench")
-                .ok_or_else(|| HistoryError::Malformed("no `bench` field".to_string()))?;
-            let scenario = scan_string(payload, "scenario").unwrap_or_default();
-            return Ok(BenchHistory {
-                bench,
-                scenario,
-                entries: vec![HistoryEntry {
-                    commit: None,
-                    date: None,
-                    payload: payload.to_string(),
-                }],
-            });
+        let malformed = |m: &str| HistoryError::Malformed(m.to_string());
+        let root = Value::parse(text).ok_or_else(|| malformed("not a JSON object"))?;
+        // Legacy files have no `history` (and no stamp): the whole object
+        // is the one payload.
+        let history = root.get("history");
+        if history.is_some() {
+            match root.get("schema_version").and_then(Value::as_u64) {
+                Some(v) if v == u64::from(BENCH_SCHEMA_VERSION) => {}
+                Some(v) => {
+                    return Err(HistoryError::Schema {
+                        found: v,
+                        supported: BENCH_SCHEMA_VERSION,
+                    })
+                }
+                None => return Err(malformed("no schema_version")),
+            }
         }
-        match scan_u64(text, "schema_version") {
-            Some(v) if v == u64::from(BENCH_SCHEMA_VERSION) => {}
-            Some(v) => {
-                return Err(HistoryError::Schema {
-                    found: v,
-                    supported: BENCH_SCHEMA_VERSION,
+        let string = |key: &str| root.get(key).and_then(Value::as_string);
+        let bench = string("bench").ok_or_else(|| malformed("no `bench` field"))?;
+        let scenario = string("scenario").unwrap_or_default();
+        let entries = match history {
+            None => vec![HistoryEntry {
+                commit: None,
+                date: None,
+                payload: root.raw().to_string(),
+            }],
+            Some(history) => history
+                .elements()
+                .ok_or_else(|| malformed("`history` is not an array"))?
+                .map(|e| {
+                    let payload = e
+                        .get("payload")
+                        .ok_or_else(|| malformed("entry without payload"))?;
+                    Ok(HistoryEntry {
+                        commit: e.get("commit").and_then(Value::as_string),
+                        date: e.get("date").and_then(Value::as_string),
+                        payload: payload.raw().to_string(),
+                    })
                 })
-            }
-            None => return Err(HistoryError::Malformed("no schema_version".to_string())),
-        }
-        let bench = scan_string(text, "bench")
-            .ok_or_else(|| HistoryError::Malformed("no `bench` field".to_string()))?;
-        let scenario = scan_string(text, "scenario").unwrap_or_default();
-        let hist_at = text
-            .find("\"history\":")
-            .ok_or_else(|| HistoryError::Malformed("no `history` array".to_string()))?;
-        let mut rest = text[hist_at + "\"history\":".len()..]
-            .trim_start()
-            .strip_prefix('[')
-            .ok_or_else(|| HistoryError::Malformed("`history` is not an array".to_string()))?;
-        let mut entries = Vec::new();
-        loop {
-            rest = rest.trim_start().trim_start_matches(',').trim_start();
-            if rest.starts_with(']') || rest.is_empty() {
-                break;
-            }
-            let end = object_end(rest)
-                .ok_or_else(|| HistoryError::Malformed("unterminated entry".to_string()))?;
-            let entry = &rest[..end];
-            // Metadata keys precede `payload`; scan only that prefix so
-            // payload fields can never alias them.
-            let payload_at = entry
-                .find("\"payload\":")
-                .ok_or_else(|| HistoryError::Malformed("entry without payload".to_string()))?;
-            let head = &entry[..payload_at];
-            let payload_src = entry[payload_at + "\"payload\":".len()..].trim_start();
-            let payload_end = object_end(payload_src)
-                .ok_or_else(|| HistoryError::Malformed("unterminated payload".to_string()))?;
-            entries.push(HistoryEntry {
-                commit: scan_string(head, "commit"),
-                date: scan_string(head, "date"),
-                payload: payload_src[..payload_end].to_string(),
-            });
-            rest = &rest[end..];
-        }
+                .collect::<Result<_, HistoryError>>()?,
+        };
         Ok(BenchHistory {
             bench,
             scenario,
@@ -274,14 +165,8 @@ impl BenchHistory {
             .entries
             .iter()
             .map(|e| {
-                let commit = match &e.commit {
-                    Some(c) => format!("\"{c}\""),
-                    None => "null".to_string(),
-                };
-                let date = match &e.date {
-                    Some(d) => format!("\"{d}\""),
-                    None => "null".to_string(),
-                };
+                let quote_or_null = |s: &Option<String>| s.as_deref().map_or("null".into(), quote);
+                let (commit, date) = (quote_or_null(&e.commit), quote_or_null(&e.date));
                 format!(
                     "    {{\"commit\": {commit}, \"date\": {date}, \"payload\": {}}}",
                     e.payload.trim()
@@ -289,10 +174,10 @@ impl BenchHistory {
             })
             .collect();
         format!(
-            "{{\n  \"schema_version\": {BENCH_SCHEMA_VERSION},\n  \"bench\": \"{}\",\n  \
-             \"scenario\": \"{}\",\n  \"history\": [\n{}\n  ]\n}}\n",
-            self.bench,
-            self.scenario,
+            "{{\n  \"schema_version\": {BENCH_SCHEMA_VERSION},\n  \"bench\": {},\n  \
+             \"scenario\": {},\n  \"history\": [\n{}\n  ]\n}}\n",
+            quote(&self.bench),
+            quote(&self.scenario),
             entries.join(",\n")
         )
     }
@@ -307,9 +192,9 @@ pub fn append(
     commit: Option<String>,
     date: Option<String>,
 ) -> Result<BenchHistory, HistoryError> {
-    let bench = scan_string(payload, "bench")
+    let bench = json::find_string(payload, "bench")
         .ok_or_else(|| HistoryError::Malformed("payload has no `bench` field".to_string()))?;
-    let scenario = scan_string(payload, "scenario").unwrap_or_default();
+    let scenario = json::find_string(payload, "scenario").unwrap_or_default();
     let mut history = BenchHistory::load(path)?.unwrap_or(BenchHistory {
         bench: bench.clone(),
         scenario: scenario.clone(),
@@ -336,9 +221,10 @@ pub fn append(
 /// their common fleet sizes, and adding or removing a predictor
 /// variant changes the key set rather than silently shifting a mean.
 pub fn throughput_by_key(bench: &str, payload: &str) -> Vec<(String, f64)> {
+    let num = |key: &str| json::find_f64(payload, key);
     match bench {
         "batch" => {
-            let runs = scan_u64(payload, "execute_runs").map(|v| v as f64);
+            let runs = num("execute_runs");
             let mut out = Vec::new();
             // Older entries carry only the metrics-on measurement; the
             // obs-off, trace-off, and profile-off companion keys appear
@@ -351,8 +237,7 @@ pub fn throughput_by_key(bench: &str, payload: &str) -> Vec<(String, f64)> {
                 ("sequential-history-off", "execute_us_history_off"),
                 ("sequential-obs-off", "execute_us_obs_off"),
             ] {
-                let us = scan_u64(payload, field).map(|v| v as f64);
-                if let (Some(r), Some(u)) = (runs, us) {
+                if let (Some(r), Some(u)) = (runs, num(field)) {
                     if u > 0.0 {
                         out.push((key.to_string(), r * 1e6 / u));
                     }
@@ -361,9 +246,9 @@ pub fn throughput_by_key(bench: &str, payload: &str) -> Vec<(String, f64)> {
             // Manifest-expansion throughput (expansions/s), gated under
             // its own key so an expansion regression cannot hide behind
             // execute jitter (and vice versa).
-            if let Some(ns) = scan_u64(payload, "expand_ns_per_iter") {
-                if ns > 0 {
-                    out.push(("sequential-expand".to_string(), 1e9 / ns as f64));
+            if let Some(ns) = num("expand_ns_per_iter") {
+                if ns > 0.0 {
+                    out.push(("sequential-expand".to_string(), 1e9 / ns));
                 }
             }
             out
@@ -371,32 +256,34 @@ pub fn throughput_by_key(bench: &str, payload: &str) -> Vec<(String, f64)> {
         // One sample per queue configuration (`calendar-n1000`-style
         // keys), so `pas bench --queue` regressions gate per impl and
         // pending-count, never mixing the two implementations.
-        "queue" => scan_keyed(payload, "config", "ops_per_s", |v| {
-            v.trim_matches('"').to_string()
-        }),
+        "queue" => keyed(payload, "configs", "config", "ops_per_s", |v| v.as_string()),
         // Two samples per fleet size: raw throughput
         // (`workers=N` ← `runs_per_s`) and the scaling gate key
         // (`dist-wN` ← `speedup`), so a speedup collapse at one fleet
         // size fails the gate even when absolute throughput jitter
         // would mask it.
         "dist" => {
-            let mut out = scan_keyed(payload, "workers", "runs_per_s", |v| format!("workers={v}"));
-            out.extend(scan_keyed(payload, "workers", "speedup", |v| {
-                format!("dist-w{v}")
+            let mut out = keyed(payload, "fleets", "workers", "runs_per_s", |v| {
+                Some(format!("workers={}", v.raw()))
+            });
+            out.extend(keyed(payload, "fleets", "workers", "speedup", |v| {
+                Some(format!("dist-w{}", v.raw()))
             }));
             out
         }
         // One sample per predictor variant.
-        "predictors" => scan_keyed(payload, "predictor", "runs_per_s", |v| {
-            v.trim_matches('"').to_string()
+        "predictors" => keyed(payload, "predictors", "predictor", "runs_per_s", |v| {
+            v.as_string()
         }),
         // One sample per ramp step (`clients=N` ← `jobs_per_s`) plus
         // the headline `server-max` key, so a saturation collapse at
         // one concurrency fails the gate even when the peak holds.
         "server" => {
-            let mut out = scan_keyed(payload, "clients", "jobs_per_s", |v| format!("clients={v}"));
-            if let Some(max) = scan_all_f64(payload, "max_jobs_per_s").first() {
-                out.push(("server-max".to_string(), *max));
+            let mut out = keyed(payload, "steps", "clients", "jobs_per_s", |v| {
+                Some(format!("clients={}", v.raw()))
+            });
+            if let Some(max) = num("max_jobs_per_s") {
+                out.push(("server-max".to_string(), max));
             }
             out
         }
@@ -404,28 +291,23 @@ pub fn throughput_by_key(bench: &str, payload: &str) -> Vec<(String, f64)> {
     }
 }
 
-/// Pair each `"key_field": <value>` occurrence with the next
-/// `"value_field": <number>` after it (our own writers emit the key
-/// field first within each result object).
-fn scan_keyed(
+/// One `(label, value)` sample per object of the payload's `array`:
+/// the label from its `key_field`, the value its `value_field` number.
+/// Objects missing either are skipped.
+fn keyed(
     payload: &str,
+    array: &str,
     key_field: &str,
     value_field: &str,
-    label: impl Fn(&str) -> String,
+    label: impl Fn(Value<'_>) -> Option<String>,
 ) -> Vec<(String, f64)> {
-    let needle = format!("\"{key_field}\":");
-    let mut out = Vec::new();
-    let mut rest = payload;
-    while let Some(at) = rest.find(&needle) {
-        let tail = rest[at + needle.len()..].trim_start();
-        let end = tail.find([',', '}', '\n']).unwrap_or(tail.len());
-        let key = label(tail[..end].trim());
-        if let Some(v) = scan_all_f64(&tail[end..], value_field).first() {
-            out.push((key, *v));
-        }
-        rest = &rest[at + needle.len()..];
-    }
-    out
+    let objects = Value::parse(payload)
+        .and_then(|p| p.get(array)?.elements())
+        .into_iter()
+        .flatten();
+    objects
+        .filter_map(|o| Some((label(o.get(key_field)?)?, o.get(value_field)?.as_f64()?)))
+        .collect()
 }
 
 /// The headline throughput of one payload: its best keyed sample.
@@ -561,6 +443,36 @@ mod tests {
         let h3 = append(&path, LEGACY, None, None).unwrap();
         assert_eq!(h3.entries.len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The histories committed at the repo root re-render byte for byte.
+    #[test]
+    fn committed_histories_re_render_identically() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for bench in ["batch", "dist", "predictors", "queue", "server"] {
+            let path = root.join(format!("BENCH_{bench}.json"));
+            let text = std::fs::read_to_string(&path).unwrap();
+            let h = BenchHistory::parse(&text).unwrap();
+            assert_eq!(h.bench, bench);
+            assert!(!h.entries.is_empty());
+            assert_eq!(h.render(), text, "{}", path.display());
+        }
+    }
+
+    #[test]
+    fn metadata_strings_are_escaped_and_decoded() {
+        let h = BenchHistory {
+            bench: "b\"x\\".to_string(),
+            scenario: "s\n\u{1}".to_string(),
+            entries: vec![HistoryEntry {
+                commit: Some("c\"1".to_string()),
+                date: Some("2026-10-17".to_string()),
+                payload: "{\"bench\": \"b\\\"x\\\\\"}".to_string(),
+            }],
+        };
+        assert_eq!(BenchHistory::parse(&h.render()).unwrap(), h);
+        let unicode = "{\"schema_version\": 1, \"bench\": \"caf\\u00e9\", \"history\": []}";
+        assert_eq!(BenchHistory::parse(unicode).unwrap().bench, "café");
     }
 
     #[test]

@@ -11,10 +11,9 @@ use crate::policy::Policy;
 use pas_geom::{Aabb, Vec2};
 use pas_net::{deploy, Topology};
 use pas_sim::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Node placement strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DeploymentKind {
     /// Uniform random placement (the WSN default).
     Uniform,
@@ -33,7 +32,7 @@ pub enum DeploymentKind {
 }
 
 /// The physical experiment arena.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scenario {
     /// Deployment region.
     pub region: Aabb,
@@ -101,7 +100,7 @@ impl Scenario {
 }
 
 /// Channel model selection (serialisable mirror of `pas-net`'s models).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChannelKind {
     /// Lossless delivery (the paper's assumption).
     Perfect,

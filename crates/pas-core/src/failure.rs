@@ -7,10 +7,9 @@
 //! detecting as *misses*.
 
 use pas_sim::{Rng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Per-node death schedule.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FailurePlan {
     /// `deaths[i]` is the failure time of node `i`, if it fails.
     deaths: Vec<Option<SimTime>>,

@@ -18,10 +18,9 @@ use crate::state::NodeState;
 use pas_geom::Vec2;
 use pas_platform::MessageKind;
 use pas_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// The RESPONSE payload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Report {
     /// Sender position (the paper's "location").
     pub pos: Vec2,
@@ -92,8 +91,4 @@ mod tests {
         assert_eq!(resp.from(), 7);
         assert_eq!(resp.kind(), MessageKind::Response);
     }
-
-    // A serde wire-roundtrip test is not possible in the offline build (the
-    // workspace `serde` is a no-op stand-in); reinstate one here when the
-    // real crate is swapped in via the workspace Cargo.toml.
 }

@@ -9,11 +9,10 @@
 //! own estimator (see [`crate::predictor`] for the dispatch design).
 
 use crate::predictor::PredictorSpec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Parameters of the adaptive (SAS/PAS) sleeping mechanisms.
-#[derive(Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq)]
 pub struct AdaptiveParams {
     /// Initial sleep interval (s); the interval resets to this on
     /// alert → safe fallback.
@@ -131,7 +130,7 @@ impl AdaptiveParams {
 }
 
 /// Which sleeping mechanism a run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Policy {
     /// No sleeping: every node awake for the whole run (paper's NS).
     Ns,

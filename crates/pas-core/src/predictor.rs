@@ -42,10 +42,9 @@ use crate::msg::Report;
 use crate::state::NodeState;
 use pas_geom::Vec2;
 use pas_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the Kalman velocity-fusion predictor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KalmanParams {
     /// Process-noise variance added per second of elapsed time — how fast
     /// the filter forgets: the front's velocity random-walk rate, (m/s)²/s.
@@ -64,7 +63,7 @@ impl Default for KalmanParams {
 }
 
 /// Parameters of the robust-quantile fusion predictor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuantileParams {
     /// Use the k-th smallest neighbour arrival (1-based; `k = 1` is the
     /// paper's raw `min`). Clamped to the number of usable reports, so a
@@ -79,7 +78,7 @@ impl Default for QuantileParams {
 }
 
 /// Which arrival estimator an adaptive policy runs (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PredictorSpec {
     /// The policy kind's own default estimator: planar front for PAS,
     /// non-directional for SAS. Resolves via [`PredictorSpec::resolve`].

@@ -1,9 +1,7 @@
 //! Node protocol states and the legal transition relation (paper Fig. 3).
 
-use serde::{Deserialize, Serialize};
-
 /// The three PAS states (paper §3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeState {
     /// The stimulus has been detected at this node.
     Covered,

@@ -14,10 +14,9 @@
 
 use crate::state::NodeState;
 use pas_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One protocol state transition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransitionRecord {
     /// When it happened.
     pub t: SimTime,
@@ -30,7 +29,7 @@ pub struct TransitionRecord {
 }
 
 /// One power edge (wake or sleep).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerRecord {
     /// When it happened.
     pub t: SimTime,
@@ -41,7 +40,7 @@ pub struct PowerRecord {
 }
 
 /// The chronological event log of one run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
     /// State transitions in chronological order.
     pub transitions: Vec<TransitionRecord>,

@@ -14,10 +14,9 @@ use crate::field::StimulusField;
 use crate::profile::SpeedProfile;
 use pas_geom::Vec2;
 use pas_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Directional gain functions for [`AnisotropicFront`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DirectionalGain {
     /// Cosine skew: `g(θ) = 1 + k·cos(θ − θ₀)`; `|k| < 1` keeps `g > 0`.
     /// Models steady wind toward `θ₀` with strength `k`.
@@ -70,7 +69,7 @@ impl DirectionalGain {
 }
 
 /// A front whose reach scales directionally: `reach(θ, t) = g(θ) · R(t)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnisotropicFront {
     source: Vec2,
     profile: SpeedProfile,

@@ -20,10 +20,9 @@
 use crate::field::StimulusField;
 use pas_geom::Vec2;
 use pas_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// An instantaneous Gaussian release advected by a uniform current.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GaussianPlume {
     source: Vec2,
     /// Released mass (arbitrary concentration·m² units).

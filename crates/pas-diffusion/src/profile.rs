@@ -5,10 +5,8 @@
 //! lets us invert it (first time the radius reaches a distance) in closed
 //! form for the analytic profiles and by bisection for piecewise ones.
 
-use serde::{Deserialize, Serialize};
-
 /// A non-negative radial speed schedule `v(t)` with radius `R(t) = ∫₀ᵗ v`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SpeedProfile {
     /// Constant speed `v` m/s: `R(t) = v t`.
     Constant {

@@ -8,10 +8,9 @@ use crate::field::StimulusField;
 use crate::profile::SpeedProfile;
 use pas_geom::Vec2;
 use pas_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// An isotropic circular front expanding from a point source.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RadialFront {
     source: Vec2,
     profile: SpeedProfile,

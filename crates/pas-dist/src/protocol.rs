@@ -16,12 +16,11 @@
 //! raw bits — and a remotely executed record therefore round-trips
 //! **byte-identically** into the server's cache and result assembly.
 
+use pas_obs::json::{self, quote};
 use pas_obs::profile::ProfileEntry;
 use pas_obs::trace::SpanRecord;
 use pas_scenario::RunRecord;
 use pas_server::cache::{decode_record, encode_record, escape, unescape};
-use pas_server::http::json_string;
-use pas_server::json;
 
 /// A worker's registration request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,7 +36,7 @@ impl Register {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"name\":{},\"threads\":{}}}",
-            json_string(&self.name),
+            quote(&self.name),
             self.threads
         )
     }
@@ -140,7 +139,7 @@ impl ShardGrant {
             trace,
             profile,
             idx.join(","),
-            json_string(&self.manifest_toml)
+            quote(&self.manifest_toml)
         )
     }
 

@@ -14,9 +14,9 @@
 
 use crate::protocol::{encode_report, PointReport, Register, Registered, ShardGrant, ShardReport};
 use pas_diffusion::StimulusField;
+use pas_obs::json;
 use pas_scenario::{expand_indices, Manifest, RunPoint};
 use pas_server::http::roundtrip;
-use pas_server::json;
 use pas_server::{ClientError, ResultCache, RetryPolicy};
 use pas_sweep::WorkerPool;
 use std::net::TcpStream;

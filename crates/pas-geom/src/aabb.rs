@@ -4,12 +4,11 @@
 //! AABBs; the spatial hash and the diffusion grids are sized from them.
 
 use crate::vec2::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned rectangle given by its min and max corners.
 ///
 /// Invariant: `min.x <= max.x && min.y <= max.y` (enforced by constructors).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     /// Lower-left corner.
     pub min: Vec2,

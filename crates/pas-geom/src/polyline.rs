@@ -8,10 +8,9 @@
 use crate::aabb::Aabb;
 use crate::shapes::Segment;
 use crate::vec2::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// An open chain of points.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Polyline {
     /// Vertices in order.
     pub points: Vec<Vec2>,
@@ -101,7 +100,7 @@ impl Polyline {
 }
 
 /// A closed polygon (the closing edge `last -> first` is implicit).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polygon {
     /// Vertices in order (no repeated closing vertex).
     pub points: Vec<Vec2>,

@@ -6,10 +6,9 @@
 
 use crate::aabb::Aabb;
 use crate::vec2::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// A circle (centre + radius).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Circle {
     /// Centre point.
     pub center: Vec2,
@@ -80,7 +79,7 @@ impl Circle {
 }
 
 /// A line segment between two points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Start point.
     pub a: Vec2,

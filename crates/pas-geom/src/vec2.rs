@@ -5,10 +5,9 @@
 //! single type keeps the arithmetic frictionless.
 
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
-use serde::{Deserialize, Serialize};
 
 /// A 2-D vector / point with `f64` components.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// X component (metres or m/s depending on context).
     pub x: f64,

@@ -15,11 +15,10 @@
 
 use crate::online::OnlineStats;
 use pas_sim::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Per-run delay summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DelayStats {
     /// Number of nodes the stimulus reached.
     pub reached: usize,

@@ -5,11 +5,9 @@
 //! declared range plus saturating under/overflow bins — so percentile
 //! queries are deterministic and allocation-free after construction.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over `[lo, hi)` with `bins` equal-width buckets plus
 /// underflow and overflow buckets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

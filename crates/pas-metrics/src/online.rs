@@ -4,10 +4,8 @@
 //! one numerically stable pass avoids both a second pass and catastrophic
 //! cancellation on long streams.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming mean / variance / min / max accumulator.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,

@@ -9,7 +9,6 @@
 //! standard unit-disk abstraction.
 
 use pas_sim::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A stochastic per-link delivery model.
 pub trait ChannelModel: Send + Sync {
@@ -26,7 +25,7 @@ pub trait ChannelModel: Send + Sync {
 }
 
 /// Every frame within range arrives (the paper's §4 assumption).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PerfectChannel;
 
 impl ChannelModel for PerfectChannel {
@@ -37,7 +36,7 @@ impl ChannelModel for PerfectChannel {
 
 /// Independent and identically distributed loss: every frame is dropped with
 /// probability `loss`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct IidLossChannel {
     loss: f64,
 }
@@ -68,7 +67,7 @@ impl ChannelModel for IidLossChannel {
 /// Distance-dependent loss: reliable up to `good_fraction · range`, then
 /// loss rises linearly to `edge_loss` at the range boundary — the standard
 /// "grey region" observed in real 802.15.4 links.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DistanceLossChannel {
     good_fraction: f64,
     edge_loss: f64,

@@ -7,11 +7,10 @@
 //! and connectivity.
 
 use pas_geom::{SpatialGrid, Vec2};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Static unit-disk topology: positions, range, precomputed neighbours.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     positions: Vec<Vec2>,
     range: f64,

@@ -38,6 +38,7 @@
 //! with the sampler running. Memory is bounded by
 //! `series × retention × sample size`, independent of uptime.
 
+use crate::json::{quote, Value};
 use crate::{series_key, Cell, Kind, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -324,12 +325,12 @@ fn plot_points(ring: &Ring) -> Vec<f64> {
 }
 
 fn render_series_json(out: &mut String, ring: &Ring) {
-    let _ = write!(out, "{{\"name\":{},\"labels\":{{", json_str(&ring.name));
+    let _ = write!(out, "{{\"name\":{},\"labels\":{{", quote(&ring.name));
     for (i, (k, v)) in ring.labels.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}:{}", json_str(k), json_str(v));
+        let _ = write!(out, "{}:{}", quote(k), quote(v));
     }
     let _ = write!(
         out,
@@ -489,25 +490,6 @@ fn join_u64(it: impl Iterator<Item = u64>) -> String {
 fn join_f64(it: impl Iterator<Item = f64>, precision: usize) -> String {
     let v: Vec<String> = it.map(|x| format!("{x:.precision$}")).collect();
     v.join(",")
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn xml_escape(s: &str) -> String {
@@ -706,197 +688,42 @@ impl Dump {
 /// [`History::render_json`]. Returns `None` on anything structurally
 /// unrecognisable; unknown fields are ignored, so the parse is
 /// forward-compatible with added arrays.
-pub fn parse_dump(json: &str) -> Option<Dump> {
+pub fn parse_dump(text: &str) -> Option<Dump> {
+    let root = Value::parse(text)?;
     let mut dump = Dump {
-        interval_ms: scan_field_u64(json, "interval_ms")?,
-        retention: scan_field_u64(json, "retention").unwrap_or(0),
+        interval_ms: root.get("interval_ms")?.as_u64()?,
+        retention: root.get("retention").and_then(Value::as_u64).unwrap_or(0),
         series: Vec::new(),
     };
-    let arr = array_slice(json, "series")?;
-    for obj in split_objects(arr) {
-        let mut s = DumpSeries {
-            name: scan_field_str(obj, "name")?,
-            labels: parse_labels(obj),
-            kind: scan_field_str(obj, "kind")?,
-            ..DumpSeries::default()
+    for obj in root.get("series")?.elements()? {
+        let floats = |key| {
+            obj.get(key)
+                .and_then(Value::as_f64_array)
+                .unwrap_or_default()
         };
-        s.t_ms = num_array(obj, "t_ms")
-            .into_iter()
-            .map(|v| v as u64)
-            .collect();
-        s.values = float_array(obj, "values");
-        s.rates = float_array(obj, "rates");
-        s.count_rate = float_array(obj, "count_rate");
-        s.p50 = float_array(obj, "p50");
-        s.p95 = float_array(obj, "p95");
-        s.p99 = float_array(obj, "p99");
-        dump.series.push(s);
+        dump.series.push(DumpSeries {
+            name: obj.get("name")?.as_string()?,
+            labels: obj
+                .get("labels")
+                .and_then(Value::members)
+                .into_iter()
+                .flatten()
+                .filter_map(|(k, v)| Some((k.into_owned(), v.as_string()?)))
+                .collect(),
+            kind: obj.get("kind")?.as_string()?,
+            t_ms: obj
+                .get("t_ms")
+                .and_then(Value::as_u64_array)
+                .unwrap_or_default(),
+            values: floats("values"),
+            rates: floats("rates"),
+            count_rate: floats("count_rate"),
+            p50: floats("p50"),
+            p95: floats("p95"),
+            p99: floats("p99"),
+        });
     }
     Some(dump)
-}
-
-fn scan_field_u64(json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let digits: String = json[at..]
-        .trim_start()
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-fn scan_field_str(obj: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let at = obj.find(&needle)? + needle.len();
-    let mut out = String::new();
-    let mut chars = obj[at..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                e => out.push(e),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// The contents of the `"key":[ ... ]` array (between the brackets),
-/// tracking nesting so inner arrays/objects don't terminate the slice.
-fn array_slice<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":[");
-    let start = json.find(&needle)? + needle.len();
-    let bytes = json.as_bytes();
-    let mut depth = 1i32;
-    let mut in_str = false;
-    let mut escape = false;
-    for (i, &b) in bytes[start..].iter().enumerate() {
-        if escape {
-            escape = false;
-            continue;
-        }
-        match b {
-            b'\\' if in_str => escape = true,
-            b'"' => in_str = !in_str,
-            b'[' | b'{' if !in_str => depth += 1,
-            b']' | b'}' if !in_str => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&json[start..start + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Top-level `{...}` object slices of an array body.
-fn split_objects(arr: &str) -> Vec<&str> {
-    let bytes = arr.as_bytes();
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut escape = false;
-    let mut start = None;
-    for (i, &b) in bytes.iter().enumerate() {
-        if escape {
-            escape = false;
-            continue;
-        }
-        match b {
-            b'\\' if in_str => escape = true,
-            b'"' => in_str = !in_str,
-            b'{' if !in_str => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            b'}' if !in_str => {
-                depth -= 1;
-                if depth == 0 {
-                    if let Some(s) = start.take() {
-                        out.push(&arr[s..=i]);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-fn num_array(obj: &str, key: &str) -> Vec<f64> {
-    float_array(obj, key)
-        .into_iter()
-        .filter(|v| v.is_finite())
-        .collect()
-}
-
-fn float_array(obj: &str, key: &str) -> Vec<f64> {
-    let Some(body) = array_slice(obj, key) else {
-        return Vec::new();
-    };
-    if body.trim().is_empty() {
-        return Vec::new();
-    }
-    body.split(',')
-        .map(|tok| {
-            let tok = tok.trim();
-            if tok == "null" {
-                f64::NAN
-            } else {
-                tok.parse().unwrap_or(f64::NAN)
-            }
-        })
-        .collect()
-}
-
-fn parse_labels(obj: &str) -> Vec<(String, String)> {
-    let needle = "\"labels\":{";
-    let Some(start) = obj.find(needle).map(|p| p + needle.len()) else {
-        return Vec::new();
-    };
-    let Some(end) = obj[start..].find('}').map(|p| start + p) else {
-        return Vec::new();
-    };
-    let body = &obj[start..end];
-    let mut out = Vec::new();
-    for pair in split_quoted_pairs(body) {
-        out.push(pair);
-    }
-    out
-}
-
-/// `"k":"v"` pairs of a flat string-to-string object body.
-fn split_quoted_pairs(body: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut rest = body;
-    while let Some(k_start) = rest.find('"') {
-        let Some(k_len) = rest[k_start + 1..].find('"') else {
-            break;
-        };
-        let key = rest[k_start + 1..k_start + 1 + k_len].to_string();
-        rest = &rest[k_start + 1 + k_len + 1..];
-        let Some(colon) = rest.find(':') else { break };
-        rest = &rest[colon + 1..];
-        let Some(v_start) = rest.find('"') else { break };
-        let Some(v_len) = rest[v_start + 1..].find('"') else {
-            break;
-        };
-        out.push((key, rest[v_start + 1..v_start + 1 + v_len].to_string()));
-        rest = &rest[v_start + 1 + v_len + 1..];
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1036,6 +863,30 @@ mod tests {
         assert_eq!(g.values, vec![-2.0, -2.0]);
         // Canonical: a second render of the same state is identical.
         assert_eq!(json, h.render_json());
+    }
+
+    /// Worker and scenario names become label values, so JSON
+    /// metacharacters in them must survive the render → parse trip.
+    #[test]
+    fn labels_with_json_metacharacters_round_trip() {
+        let labels = [
+            ("route", "r"),
+            ("scenario", "a}b\"c\\d\ne"),
+            ("worker", "{\"x\":1}"),
+            ("z\"k}", "v"),
+        ];
+        let reg = Registry::new();
+        reg.counter("pas.h.meta.count", &labels).add(1);
+        let h = History::new(cfg(1000, 4));
+        h.sample_at(&reg, 0);
+        let dump = parse_dump(&h.render_json()).expect("parses");
+        let s = dump.named("pas.h.meta.count").next().expect("series");
+        let want: Vec<(String, String)> = labels
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        assert_eq!(s.labels, want);
+        assert_eq!(s.values, vec![1.0]);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! and canonical, so exposition output is deterministic bytes.
 
 pub mod history;
+pub mod json;
 pub mod profile;
 pub mod trace;
 

@@ -5,13 +5,11 @@
 //! into the headline number a deployment cares about — months of life on a
 //! pair of AA cells.
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds per day.
 pub const SECS_PER_DAY: f64 = 86_400.0;
 
 /// An ideal battery: fixed energy budget, no self-discharge curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     capacity_j: f64,
     drained_j: f64,

@@ -8,10 +8,9 @@
 
 use crate::power::{McuMode, NodeMode, PowerProfile, RadioMode};
 use pas_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Energy attributed per component, in joules.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// MCU while active (controller energy).
     pub mcu_active_j: f64,

@@ -12,7 +12,6 @@
 //! sets both the transmission latency and the TX/RX energy per message.
 
 use crate::power::PowerProfile;
-use serde::{Deserialize, Serialize};
 
 /// PHY preamble + SFD + length byte (IEEE 802.15.4): 6 octets.
 pub const PHY_HEADER_BYTES: usize = 6;
@@ -20,7 +19,7 @@ pub const PHY_HEADER_BYTES: usize = 6;
 pub const MAC_HEADER_BYTES: usize = 11;
 
 /// The PAS protocol message kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageKind {
     /// Neighbour solicitation; empty payload.
     Request,
@@ -41,7 +40,7 @@ impl MessageKind {
 }
 
 /// Frame layout: header overhead applied to every message.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameSpec {
     /// Bytes of PHY-level overhead per frame.
     pub phy_header_bytes: usize,

@@ -10,10 +10,8 @@
 //! must be `Off` whenever the MCU sleeps — the type system enforces that via
 //! [`NodeMode`]'s constructors.
 
-use serde::{Deserialize, Serialize};
-
 /// MCU power mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum McuMode {
     /// Running: sensing, estimating, handling messages.
     Active,
@@ -22,7 +20,7 @@ pub enum McuMode {
 }
 
 /// Radio power mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RadioMode {
     /// Radio powered down.
     Off,
@@ -36,7 +34,7 @@ pub enum RadioMode {
 ///
 /// Invariant: a sleeping MCU implies the radio is off ("sleeping nodes
 /// cannot receive" — the premise the whole PAS/SAS comparison rests on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeMode {
     mcu: McuMode,
     radio: RadioMode,
@@ -103,7 +101,7 @@ impl NodeMode {
 }
 
 /// Platform power figures in watts (SI units throughout).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerProfile {
     /// Platform name, for reports.
     pub name: &'static str,

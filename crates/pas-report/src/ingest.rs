@@ -7,6 +7,7 @@
 //! downstream statistic.
 
 use pas_metrics::Csv;
+use pas_obs::json::Value;
 use pas_scenario::{AxisValue, PointSummary, RunRecord, SCHEMA_VERSION};
 use std::fmt;
 
@@ -70,113 +71,30 @@ pub struct IngestedSummaries {
     pub summaries: Vec<PointSummary>,
 }
 
-// --- flat JSON scanning -----------------------------------------------------
-//
-// Sink rows are flat objects with one nested `assignments` object; a
-// cursor-free scanner per field keeps this std-only (the `pas-server`
-// scanners are unavailable here without a dependency cycle).
-
-fn find_key(json: &str, key: &str) -> Option<usize> {
-    let needle = format!("\"{key}\":");
-    json.find(&needle).map(|at| at + needle.len())
-}
-
-fn scan_f64(json: &str, key: &str) -> Option<f64> {
-    let rest = json[find_key(json, key)?..].trim_start();
-    let end = rest
-        .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn scan_u64(json: &str, key: &str) -> Option<u64> {
-    let rest = json[find_key(json, key)?..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Decode the JSON string starting at `rest` (past the opening quote);
-/// returns `(value, bytes consumed including the closing quote)`.
-fn scan_string_at(rest: &str) -> Option<(String, usize)> {
-    let mut out = String::new();
-    let mut chars = rest.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, i + 1)),
-            '\\' => match chars.next()?.1 {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'u' => {
-                    let mut code = String::new();
-                    for _ in 0..4 {
-                        code.push(chars.next()?.1);
-                    }
-                    out.push(char::from_u32(u32::from_str_radix(&code, 16).ok()?)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-fn scan_string(json: &str, key: &str) -> Option<String> {
-    let rest = json[find_key(json, key)?..]
-        .trim_start()
-        .strip_prefix('"')?;
-    scan_string_at(rest).map(|(s, _)| s)
-}
-
-/// Parse the flat `"assignments":{...}` object into axis assignments.
-fn scan_assignments(json: &str) -> Option<Vec<(String, AxisValue)>> {
-    let mut rest = json[find_key(json, "assignments")?..]
-        .trim_start()
-        .strip_prefix('{')?;
-    let mut out = Vec::new();
-    loop {
-        rest = rest.trim_start();
-        if rest.starts_with('}') {
-            return Some(out);
-        }
-        rest = rest.strip_prefix(',').unwrap_or(rest).trim_start();
-        let after_quote = rest.strip_prefix('"')?;
-        let (field, used) = scan_string_at(after_quote)?;
-        rest = after_quote[used..].trim_start().strip_prefix(':')?;
-        rest = rest.trim_start();
-        if let Some(r) = rest.strip_prefix('"') {
-            let (name, used) = scan_string_at(r)?;
-            out.push((field, AxisValue::Name(name)));
-            rest = &r[used..];
-        } else {
-            let end = rest
-                .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-                .unwrap_or(rest.len());
-            let v: f64 = rest[..end].parse().ok()?;
-            out.push((field, AxisValue::Num(v)));
-            rest = &rest[end..];
-        }
-    }
-}
-
-/// Check one row's schema stamp.
-fn check_version(json: &str) -> Result<(), IngestError> {
-    match scan_u64(json, "schema_version") {
-        Some(v) if v == u64::from(SCHEMA_VERSION) => Ok(()),
-        Some(v) => Err(IngestError::SchemaVersion {
-            found: v.to_string(),
-            supported: SCHEMA_VERSION,
-        }),
-        None => Err(IngestError::SchemaVersion {
-            found: "missing".to_string(),
+/// Check one row's schema stamp; the row object on success.
+fn check_version(line: &str) -> Result<Value<'_>, IngestError> {
+    let row = Value::parse(line);
+    match (row, row.and_then(|r| r.get("schema_version")?.as_u64())) {
+        (Some(row), Some(v)) if v == u64::from(SCHEMA_VERSION) => Ok(row),
+        (_, found) => Err(IngestError::SchemaVersion {
+            found: found.map_or_else(|| "missing".to_string(), |v| v.to_string()),
             supported: SCHEMA_VERSION,
         }),
     }
+}
+
+/// A row's `"assignments"` object as axis assignments.
+fn assignments(row: Value<'_>) -> Option<Vec<(String, AxisValue)>> {
+    row.get("assignments")?
+        .members()?
+        .map(|(field, v)| {
+            let value = match v.as_string() {
+                Some(name) => AxisValue::Name(name),
+                None => AxisValue::Num(v.as_f64()?),
+            };
+            Some((field.into_owned(), value))
+        })
+        .collect()
 }
 
 /// Parse a per-run JSONL file (the `pas run --raw` /
@@ -189,30 +107,32 @@ pub fn parse_records_jsonl(text: &str) -> Result<IngestedRecords, IngestError> {
         if line.is_empty() {
             continue;
         }
-        let row = i + 1;
-        check_version(line)?;
+        let row = check_version(line)?;
         let malformed = |message: &str| IngestError::Malformed {
-            line: row,
+            line: i + 1,
             message: message.to_string(),
         };
+        let num = |key: &str| row.get(key).and_then(Value::as_f64);
+        let count = |key: &str| row.get(key).and_then(Value::as_u64);
+        let string = |key: &str| row.get(key).and_then(Value::as_string);
         if scenario.is_empty() {
-            scenario = scan_string(line, "scenario").ok_or_else(|| malformed("no scenario"))?;
+            scenario = string("scenario").ok_or_else(|| malformed("no scenario"))?;
         }
-        let assignments = scan_assignments(line).ok_or_else(|| malformed("bad assignments"))?;
+        let assignments = assignments(row).ok_or_else(|| malformed("bad assignments"))?;
         records.push(RunRecord {
-            x: scan_f64(line, "x").ok_or_else(|| malformed("no x"))?,
-            policy_label: scan_string(line, "policy").ok_or_else(|| malformed("no policy"))?,
-            seed: scan_u64(line, "seed").ok_or_else(|| malformed("no seed"))?,
+            x: num("x").ok_or_else(|| malformed("no x"))?,
+            policy_label: string("policy").ok_or_else(|| malformed("no policy"))?,
+            seed: count("seed").ok_or_else(|| malformed("no seed"))?,
             assignments,
-            delay_s: scan_f64(line, "delay_s").ok_or_else(|| malformed("no delay_s"))?,
-            energy_j: scan_f64(line, "energy_j").ok_or_else(|| malformed("no energy_j"))?,
-            reached: scan_u64(line, "reached").ok_or_else(|| malformed("no reached"))? as usize,
-            detected: scan_u64(line, "detected").ok_or_else(|| malformed("no detected"))? as usize,
-            missed: scan_u64(line, "missed").ok_or_else(|| malformed("no missed"))? as usize,
-            requests_sent: scan_u64(line, "requests_sent").unwrap_or(0),
-            responses_sent: scan_u64(line, "responses_sent").unwrap_or(0),
-            events_processed: scan_u64(line, "events_processed").unwrap_or(0),
-            duration_s: scan_f64(line, "duration_s").unwrap_or(0.0),
+            delay_s: num("delay_s").ok_or_else(|| malformed("no delay_s"))?,
+            energy_j: num("energy_j").ok_or_else(|| malformed("no energy_j"))?,
+            reached: count("reached").ok_or_else(|| malformed("no reached"))? as usize,
+            detected: count("detected").ok_or_else(|| malformed("no detected"))? as usize,
+            missed: count("missed").ok_or_else(|| malformed("no missed"))? as usize,
+            requests_sent: count("requests_sent").unwrap_or(0),
+            responses_sent: count("responses_sent").unwrap_or(0),
+            events_processed: count("events_processed").unwrap_or(0),
+            duration_s: num("duration_s").unwrap_or(0.0),
         });
     }
     if records.is_empty() {

@@ -5,7 +5,7 @@
 //! wrapper over one route.
 
 use crate::http::roundtrip_with;
-use crate::json::{find_string as json_find_string, find_u64 as json_find_u64};
+use pas_obs::json::{find_string as json_find_string, find_u64 as json_find_u64};
 use std::io;
 use std::net::TcpStream;
 use std::time::Duration;

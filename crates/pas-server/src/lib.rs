@@ -35,7 +35,7 @@ pub mod cache;
 pub mod client;
 pub mod hash;
 pub mod http;
-pub mod json;
+pub use pas_obs::json;
 pub mod queue;
 pub mod server;
 

@@ -16,10 +16,8 @@
 //! never perturbs any other node's random sequence. That keeps paired
 //! comparisons (PAS vs SAS on the same topology) free of spurious noise.
 
-use serde::{Deserialize, Serialize};
-
 /// SplitMix64: a tiny, well-mixed 64-bit generator used for seeding.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,
 }
@@ -68,7 +66,7 @@ const BLOCK: usize = 16;
 /// would emit, so the sequence is identical draw-for-draw — the batching only
 /// lets the compiler pipeline the state updates instead of paying the full
 /// dependency chain per call.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Rng {
     s: [u64; 4],
     /// Cached second output of the Box-Muller transform.

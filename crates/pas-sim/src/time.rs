@@ -4,7 +4,6 @@
 //! NaN at every construction site. Infinity is allowed and means "never" —
 //! the natural encoding for "no predicted arrival" in the PAS estimator.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -12,8 +11,7 @@ use std::ops::{Add, AddAssign, Sub};
 ///
 /// Total order: `SimTime` implements `Ord` because NaN cannot be constructed.
 /// `SimTime::NEVER` (`+∞`) sorts after every finite time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimTime(f64);
 
 impl SimTime {

@@ -28,6 +28,7 @@
 //! with the same byte-for-byte guarantee.
 
 use pas_dist::{Scheduler, SchedulerOptions, WorkerOptions};
+use pas_obs::json;
 use pas_scenario::{execute, expand, registry, ExecOptions, Manifest};
 use pas_server::{
     Client, ClientError, HistoryFormat, ProfileFormat, ResultCache, ResultFormat, RetryPolicy,
@@ -781,11 +782,11 @@ fn cmd_status(args: &[String]) -> ExitCode {
         "trace_dropped",
         "profile_dropped",
     ] {
-        if let Some(v) = pas_server::json::find_u64(&health, key) {
+        if let Some(v) = json::find_u64(&health, key) {
             println!("{key:<15} {v}");
         }
     }
-    if let Some(true) = pas_server::json::find_bool(&health, "draining") {
+    if let Some(true) = json::find_bool(&health, "draining") {
         println!("draining        yes");
     }
     match client.workers_table() {
@@ -992,7 +993,7 @@ fn sparkline(values: &[f64], width: usize) -> String {
 /// erase-to-eol terminated by the caller.
 fn top_frame(addr: &str, health: &str, dump: &pas_obs::history::Dump, frame: u64) -> Vec<String> {
     use std::fmt::Write as _;
-    let h_u64 = |k: &str| pas_server::json::find_u64(health, k).unwrap_or(0);
+    let h_u64 = |k: &str| json::find_u64(health, k).unwrap_or(0);
     let mut lines = Vec::new();
     lines.push(format!(
         "pas top — {addr} · up {}s · {} worker(s) · frame {frame} (Ctrl-C quits)",
@@ -1196,40 +1197,6 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             "{addr}: /jobs/{id}/trace: {e} (is the server running with --metrics?)"
         )),
     }
-}
-
-/// All `("ts", "dur")` value pairs (µs) of Chrome trace events named
-/// `name` — the tiny scan `pas submit -v` uses for its latency
-/// breakdown; the renderer emits `"name"` then `"ts"` then `"dur"`
-/// within each event.
-fn chrome_ts_durs(chrome: &str, name: &str) -> Vec<(u64, u64)> {
-    let field = |tail: &str, key: &str| -> Option<u64> {
-        let at = tail.find(key)? + key.len();
-        let num: String = tail[at..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        num.parse().ok()
-    };
-    let needle = format!("\"name\":\"{name}\"");
-    let mut out = Vec::new();
-    let mut rest = chrome;
-    while let Some(pos) = rest.find(&needle) {
-        let tail = &rest[pos + needle.len()..];
-        if let (Some(ts), Some(dur)) = (field(tail, "\"ts\":"), field(tail, "\"dur\":")) {
-            out.push((ts, dur));
-        }
-        rest = &rest[pos + needle.len()..];
-    }
-    out
-}
-
-/// All `"dur"` values (µs) of Chrome trace events named `name`.
-fn chrome_durs(chrome: &str, name: &str) -> Vec<u64> {
-    chrome_ts_durs(chrome, name)
-        .into_iter()
-        .map(|(_, d)| d)
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1557,24 +1524,33 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         match client.trace(id, TraceFormat::Chrome) {
             Ok(body) => {
                 let chrome = String::from_utf8_lossy(&body);
-                let total = chrome_durs(&chrome, "job").first().copied().unwrap_or(0);
-                let queued = chrome_durs(&chrome, "job.queued")
-                    .first()
-                    .copied()
-                    .unwrap_or(0);
+                // `(name, ts, dur)` of every complete (`X`) trace event.
+                let events: Vec<(String, u64, u64)> = json::Value::parse(&chrome)
+                    .and_then(|t| t.get("traceEvents")?.elements())
+                    .into_iter()
+                    .flatten()
+                    .filter_map(|e| {
+                        let field = |k| e.get(k)?.as_u64();
+                        Some((e.get("name")?.as_string()?, field("ts")?, field("dur")?))
+                    })
+                    .collect();
+                let named = |name: &'static str| events.iter().filter(move |(n, ..)| n == name);
+                let dur = |name| named(name).next().map_or(0, |(_, _, d)| *d);
+                let total = dur("job");
+                let queued = dur("job.queued");
                 // Local-exec jobs have one `job.execute`; distributed
                 // jobs spread execution over concurrent
                 // `worker.shard.execute` spans, so take their wall-clock
                 // envelope (first start → last end), not the sum.
-                let execute = chrome_durs(&chrome, "job.execute")
-                    .first()
-                    .copied()
-                    .unwrap_or_else(|| {
-                        let shards = chrome_ts_durs(&chrome, "worker.shard.execute");
-                        let lo = shards.iter().map(|(ts, _)| *ts).min().unwrap_or(0);
-                        let hi = shards.iter().map(|(ts, d)| ts + d).max().unwrap_or(0);
+                let execute = match named("job.execute").next() {
+                    Some((_, _, d)) => *d,
+                    None => {
+                        let shards = named("worker.shard.execute");
+                        let lo = shards.clone().map(|(_, ts, _)| *ts).min().unwrap_or(0);
+                        let hi = shards.map(|(_, ts, d)| ts + d).max().unwrap_or(0);
                         hi.saturating_sub(lo)
-                    });
+                    }
+                };
                 let trace_id = status.trace.as_deref().unwrap_or("?");
                 eprintln!(
                     "latency   total {total}us = queued {queued}us + execute {execute}us \
