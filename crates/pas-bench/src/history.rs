@@ -1,10 +1,10 @@
 //! Unified, versioned bench-result files with trend history and a
 //! regression gate.
 //!
-//! The three bench commands (`pas bench`, `--dist`, `--predictors`)
-//! used to overwrite three ad-hoc single-snapshot JSON files, so the
-//! perf trajectory between PRs lived only in git archaeology. This
-//! module gives them one schema:
+//! Every `pas bench` mode (batch, `--dist`, `--predictors`, `--queue`,
+//! `--server`) appends to one `BENCH_*.json` file per mode, so the perf
+//! trajectory between commits lives in the file, not in git
+//! archaeology. This module gives them one schema:
 //!
 //! ```json
 //! {

@@ -1,26 +1,16 @@
-//! # pas-bench — experiment harness for the PAS evaluation
+//! # pas-bench — bench-result history and regression gate
 //!
-//! One binary per table/figure of the paper (see DESIGN.md's experiment
-//! index), all built on the shared [`harness`] module: the paper's §4
-//! workload (30 nodes, 10 m range, corner-released radial front), seed
-//! fan-out through `pas-sweep`, and table/CSV reporting through
-//! `pas-metrics`.
-//!
-//! Run e.g. `cargo run --release -p pas-bench --bin fig4`; every binary
-//! prints the paper-style series and writes `results/<name>.csv`.
+//! The one schema every `pas bench` mode appends its results to, and the
+//! throughput gate `pas bench --gate` runs over those files (see
+//! [`history`]). The paper's figures are not produced here: they are
+//! registry manifests run through `pas run` / `pas report`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod harness;
 pub mod history;
 
 pub use history::{
     append, civil_date, gate, throughput, throughput_by_key, BenchHistory, GateOutcome,
     HistoryEntry, HistoryError, BENCH_SCHEMA_VERSION, DEFAULT_MAX_DROP_PCT,
-};
-
-pub use harness::{
-    delay_energy, paper_field, paper_scenario, report, results_dir, ExperimentPoint, ALERT_AXIS,
-    FIG4_ALERT_S, FIG5_MAX_SLEEP_S, FRONT_SPEED_MPS, MAX_SLEEP_AXIS, REPLICATES, SEED_BASE,
 };

@@ -5,8 +5,8 @@
 //!
 //! * the deep invariant tests (`Alert ⇒ awake`, Fig. 3 legality over whole
 //!   runs, no post-mortem activity);
-//! * the Fig. 2 regeneration (`fig2_states` renders the covered/alert/safe
-//!   map at chosen instants);
+//! * the Fig. 2 structure check (mid-run, covered nodes sit nearer the
+//!   source than safe ones, with alert nodes in between);
 //! * post-hoc analysis in examples (state occupancy, ring width over time).
 //!
 //! Recording is append-only and O(1) per event; a 30-node paper run logs a

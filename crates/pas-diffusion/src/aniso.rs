@@ -218,6 +218,26 @@ mod tests {
             let out = f.source() + (p - f.source()) * 1.01;
             assert!(!f.is_covered(out, t));
         }
+
+        // The paper's Fig. 1 envelope construction: advancing each sample
+        // of the boundary at t0 outward by its nominal speed · Δ lands on
+        // the matching sample of the boundary at t0 + Δ.
+        let f = AnisotropicFront::new(
+            Vec2::ZERO,
+            SpeedProfile::Constant { speed: 0.5 },
+            DirectionalGain::CosineSkew {
+                theta0: 0.6,
+                k: 0.4,
+            },
+        );
+        let (t0, dt) = (SimTime::from_secs(30.0), 5.0);
+        let b0 = f.boundary_at(t0, 64);
+        let b1 = f.boundary_at(t0 + dt, 64);
+        for (&p0, &p1) in b0.iter().zip(&b1) {
+            let v = (p0 - f.source()).normalize_or_zero() * f.nominal_speed(p0).unwrap();
+            let err = (p0 + v * dt).distance(p1);
+            assert!(err < 1e-6, "envelope misses by {err} m at {p0}");
+        }
     }
 
     #[test]

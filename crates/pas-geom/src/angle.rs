@@ -6,19 +6,6 @@
 //! helpers keep all angle math in one tested place.
 
 use crate::vec2::Vec2;
-use core::f64::consts::{PI, TAU};
-
-/// Normalise an angle into `(-π, π]`.
-#[inline]
-pub fn normalize_angle(a: f64) -> f64 {
-    // rem_euclid keeps the result in [0, τ); shift into (-π, π].
-    let r = a.rem_euclid(TAU);
-    if r > PI {
-        r - TAU
-    } else {
-        r
-    }
-}
 
 /// Included angle between two vectors, in `[0, π]`.
 ///
@@ -51,49 +38,11 @@ pub fn included_cos(a: Vec2, b: Vec2) -> f64 {
     (a.dot(b) / nn).clamp(-1.0, 1.0)
 }
 
-/// Signed angular difference `b - a` normalised into `(-π, π]`.
-#[inline]
-pub fn angle_diff(a: f64, b: f64) -> f64 {
-    normalize_angle(b - a)
-}
-
-/// Convert degrees to radians.
-#[inline]
-pub fn deg_to_rad(deg: f64) -> f64 {
-    deg * (PI / 180.0)
-}
-
-/// Convert radians to degrees.
-#[inline]
-pub fn rad_to_deg(rad: f64) -> f64 {
-    rad * (180.0 / PI)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::float::approx_eq;
-    use core::f64::consts::FRAC_PI_2;
-
-    #[test]
-    fn normalize_into_range() {
-        assert!(approx_eq(normalize_angle(0.0), 0.0));
-        assert!(approx_eq(normalize_angle(TAU), 0.0));
-        assert!(approx_eq(normalize_angle(PI + 0.1), -PI + 0.1));
-        assert!(approx_eq(normalize_angle(-PI - 0.1), PI - 0.1));
-        assert!(approx_eq(normalize_angle(PI), PI));
-        assert!(approx_eq(normalize_angle(3.0 * TAU + 1.0), 1.0));
-    }
-
-    #[test]
-    fn normalize_always_in_bounds() {
-        let mut a = -50.0;
-        while a < 50.0 {
-            let n = normalize_angle(a);
-            assert!(n > -PI - 1e-12 && n <= PI + 1e-12, "angle {a} -> {n}");
-            a += 0.37;
-        }
-    }
+    use core::f64::consts::{FRAC_PI_2, PI};
 
     #[test]
     fn included_angle_basics() {
@@ -130,20 +79,5 @@ mod tests {
             included_cos(a, b),
             included_cos(a * 7.0, b * 0.01)
         ));
-    }
-
-    #[test]
-    fn diff_wraps() {
-        assert!(approx_eq(angle_diff(0.1, -0.1), -0.2));
-        // Wrapping through π: from +3 rad to -3 rad is +0.28… rad, not -6 rad.
-        let d = angle_diff(3.0, -3.0);
-        assert!(d > 0.0 && d < 0.3);
-    }
-
-    #[test]
-    fn degree_conversions() {
-        assert!(approx_eq(deg_to_rad(180.0), PI));
-        assert!(approx_eq(rad_to_deg(PI), 180.0));
-        assert!(approx_eq(rad_to_deg(deg_to_rad(37.5)), 37.5));
     }
 }

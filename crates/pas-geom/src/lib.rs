@@ -50,7 +50,7 @@ pub use vec2::Vec2;
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::aabb::Aabb;
-    pub use crate::angle::{included_angle, normalize_angle};
+    pub use crate::angle::included_angle;
     pub use crate::float::{approx_eq, approx_eq_eps};
     pub use crate::grid::SpatialGrid;
     pub use crate::polyline::{Polygon, Polyline};

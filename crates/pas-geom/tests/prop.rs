@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry kit.
 
-use pas_geom::angle::{included_cos, normalize_angle};
+use pas_geom::angle::included_cos;
 use pas_geom::float::approx_eq_eps;
 use pas_geom::{Polygon, Polyline, SpatialGrid, Vec2};
 use proptest::prelude::*;
@@ -67,16 +67,6 @@ proptest! {
     }
 
     // --- angles -------------------------------------------------------------
-
-    #[test]
-    fn normalize_angle_in_range(a in -1.0e4..1.0e4f64) {
-        let n = normalize_angle(a);
-        prop_assert!(n > -core::f64::consts::PI - 1e-9);
-        prop_assert!(n <= core::f64::consts::PI + 1e-9);
-        // Same direction: cos and sin agree.
-        prop_assert!(approx_eq_eps(n.cos(), a.cos(), 1e-6));
-        prop_assert!(approx_eq_eps(n.sin(), a.sin(), 1e-6));
-    }
 
     #[test]
     fn included_cos_bounded_and_symmetric(a in vec2(), b in vec2()) {

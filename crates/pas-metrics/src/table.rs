@@ -1,8 +1,8 @@
 //! Report output: aligned ASCII tables and CSV.
 //!
-//! The figure generators print the paper's data series as tables to stdout
-//! and write CSV files under `results/` for plotting. Both writers live
-//! here so every experiment formats identically.
+//! `pas run` prints each batch's summary as a table on stdout and writes
+//! it as CSV for plotting (through `pas-scenario`'s sinks). Both writers
+//! live here so every experiment formats identically.
 
 use std::fmt::Write as _;
 use std::fs;

@@ -16,7 +16,7 @@
 //! global [`enabled`](crate::enabled) switch (plus its own
 //! [`set_tracing`] toggle so `pas bench` can price tracing alone), and
 //! strictly observational — nothing reads a span back into a result.
-//! Capacity is bounded: each of [`SHARDS`](crate::SHARDS) ring shards
+//! Capacity is bounded: each of [`SHARDS`] ring shards
 //! holds at most [`DEFAULT_SPANS_PER_SHARD`] spans; when full the
 //! oldest span in that shard is evicted and counted in [`dropped`].
 //!

@@ -1,14 +1,14 @@
 //! Manifest expansion and deterministic batch execution.
 //!
 //! [`expand`] turns a [`Manifest`] into the explicit cartesian run matrix
-//! (sweep axes × policies × replicate seeds) using the `pas-sweep`
-//! combinators; [`execute_point`] runs one matrix point, [`reduce`]
-//! aggregates per-run records into per-point summaries, and [`execute`]
-//! composes the two over the whole matrix in parallel. Parallel execution
-//! is bit-identical to sequential: each run derives all randomness from
-//! its own seed and results are reassembled in input order. The same
-//! `execute_point`/`reduce` decomposition is what `pas-server`'s result
-//! cache calls, so cached and direct batches cannot drift apart.
+//! (sweep axes × policies × replicate seeds); [`execute_point`] runs one
+//! matrix point, [`reduce`] aggregates per-run records into per-point
+//! summaries, and [`execute`] composes the two over the whole matrix in
+//! parallel. Parallel execution is bit-identical to sequential: each run
+//! derives all randomness from its own seed and results are reassembled
+//! in input order. The same `execute_point`/`reduce` decomposition is
+//! what `pas-server`'s result cache calls, so cached and direct batches
+//! cannot drift apart.
 
 use crate::manifest::{AxisValue, FailureSpec, Manifest, ManifestError, SWEEP_PREDICTOR};
 use pas_core::{run, FailurePlan, RunConfig, Scenario};

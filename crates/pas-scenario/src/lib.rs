@@ -15,11 +15,11 @@
 //!   Policies mount arrival predictors (`predictor = "kalman"` plus
 //!   per-predictor parameter tables), and sweep axes cover the adaptive
 //!   parameters, predictor names, and deployment density (`nodes`).
-//! * [`exec`] — [`expand`] (manifest → cartesian run matrix via the
-//!   `pas-sweep` combinators) and [`execute`] (parallel, bit-deterministic
-//!   batch execution with replicate aggregation).
-//! * [`sink`] — summary CSV (same columns as the `pas-bench` figure
-//!   CSVs), per-run JSONL, and stdout tables.
+//! * [`exec`] — [`expand`] (manifest → cartesian run matrix) and
+//!   [`execute`] (parallel, bit-deterministic batch execution with
+//!   replicate aggregation).
+//! * [`sink`] — summary CSV (one row per sweep point × policy), per-run
+//!   JSONL, and stdout tables.
 //! * [`registry`] — built-in named manifests: the paper-default workload,
 //!   the alert-threshold sweep, and the three example scenarios.
 //!

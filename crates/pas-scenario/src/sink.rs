@@ -1,8 +1,9 @@
 //! Output sinks: summary CSV, per-run JSONL, and stdout tables.
 //!
-//! The CSV column layout matches `pas-bench`'s figure CSVs so downstream
-//! plotting scripts work on either producer. JSONL carries the full
-//! per-run records (one JSON object per line) for raw-data analysis.
+//! The CSV carries one row per sweep point × policy — x value, policy
+//! label, delay and energy mean ± stddev, replicate count — ready for
+//! plotting. JSONL carries the full per-run records (one JSON object per
+//! line) for raw-data analysis.
 //!
 //! Both file sinks stamp [`SCHEMA_VERSION`] — a trailing
 //! `schema_version` CSV column and a leading `"schema_version"` JSONL

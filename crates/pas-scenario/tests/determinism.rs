@@ -1,6 +1,11 @@
 //! Determinism and execution-shape tests for the batch executor.
 
+use pas_core::{run, AdaptiveParams, ChannelKind, FailurePlan, Policy, RunConfig, Scenario};
+use pas_diffusion::RadialFront;
+use pas_geom::Vec2;
+use pas_scenario::exec::STREAM_FAILURES;
 use pas_scenario::{execute, registry, ExecOptions};
+use pas_sim::Rng;
 
 /// Same manifest + seeds ⇒ bit-identical per-run results, whether the
 /// batch runs sequentially or across all cores.
@@ -92,6 +97,97 @@ fn random_failures_are_seed_deterministic() {
     for (a, b) in seq.records.iter().zip(&par.records) {
         assert_eq!(a.delay_s.to_bits(), b.delay_s.to_bits());
         assert_eq!(a.missed, b.missed);
+    }
+}
+
+/// An ablation is just a manifest: a lossy channel and random node
+/// failures declared in TOML give, run for run, the same bits as the
+/// direct `pas_core::run` call that wires the channel and a failure plan
+/// drawn from the seed's failure substream by hand.
+#[test]
+fn ablation_manifest_matches_direct_runs() {
+    let policy = Policy::Pas(AdaptiveParams {
+        max_sleep_s: 12.0,
+        alert_threshold_s: 15.0,
+        ..AdaptiveParams::default()
+    });
+    let field = RadialFront::constant(Vec2::ZERO, 0.5);
+    // (channel table, failures table, loss, failure probability)
+    let cases = [
+        ("kind = \"iid\"\nloss = 0.1", "kind = \"none\"", 0.1, 0.0),
+        (
+            "kind = \"perfect\"",
+            "kind = \"random\"\np = 0.2\nhorizon_s = 60.0",
+            0.0,
+            0.2,
+        ),
+        (
+            "kind = \"iid\"\nloss = 0.2",
+            "kind = \"random\"\np = 0.3\nhorizon_s = 60.0",
+            0.2,
+            0.3,
+        ),
+    ];
+    for (channel, failures, loss, p) in cases {
+        let src = format!(
+            r#"
+            [scenario]
+            name = "ablation"
+            [deployment]
+            region = [40.0, 40.0]
+            nodes = 30
+            range_m = 10.0
+            kind = "uniform"
+            [stimulus]
+            kind = "radial"
+            source = [0.0, 0.0]
+            profile = {{ kind = "constant", speed = 0.5 }}
+            [channel]
+            {channel}
+            [failures]
+            {failures}
+            [run]
+            base_seed = 20070910
+            replicates = 4
+            [[policies]]
+            kind = "pas"
+            max_sleep_s = 12.0
+            alert_threshold_s = 15.0
+            "#
+        );
+        let m = pas_scenario::Manifest::parse(&src).unwrap();
+        let batch = execute(&m, ExecOptions::default()).unwrap();
+        assert_eq!(batch.records.len(), 4);
+        for rec in &batch.records {
+            let scenario = Scenario::paper_default(rec.seed);
+            let channel = if loss == 0.0 {
+                ChannelKind::Perfect
+            } else {
+                ChannelKind::IidLoss(loss)
+            };
+            let plan = if p == 0.0 {
+                FailurePlan::default()
+            } else {
+                let mut rng = Rng::substream(rec.seed, STREAM_FAILURES);
+                FailurePlan::random(scenario.node_count, p, 60.0, &mut rng)
+            };
+            let cfg = RunConfig::new(policy)
+                .with_channel(channel)
+                .with_failures(plan);
+            let r = run(&scenario, &field, &cfg);
+            let at = format!("loss {loss}, p {p}, seed {}", rec.seed);
+            assert_eq!(
+                rec.delay_s.to_bits(),
+                r.delay.mean_delay_s.to_bits(),
+                "delay, {at}"
+            );
+            assert_eq!(
+                rec.energy_j.to_bits(),
+                r.mean_energy_j().to_bits(),
+                "energy, {at}"
+            );
+            assert_eq!(rec.missed, r.delay.missed, "missed, {at}");
+        }
     }
 }
 

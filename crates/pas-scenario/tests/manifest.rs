@@ -2,7 +2,7 @@
 //! rejection across sections, matrix expansion counts, and semantic
 //! validation errors.
 
-use pas_core::Policy;
+use pas_core::{Policy, Scenario};
 use pas_scenario::{expand, registry, Manifest};
 
 #[test]
@@ -13,6 +13,22 @@ fn builtin_manifests_round_trip_losslessly() {
         let back = Manifest::parse(&text)
             .unwrap_or_else(|e| panic!("re-parsing serialised `{name}`: {e}\n---\n{text}"));
         assert_eq!(back, m, "round-trip changed `{name}`");
+    }
+}
+
+/// Both paper manifests deploy exactly the §4 workload `pas_core` builds
+/// by hand: 30 nodes, 10 m range, uniform over 40 m × 40 m.
+#[test]
+fn paper_manifests_declare_the_section4_scenario() {
+    for name in ["paper-default", "paper-alert"] {
+        let m = registry::builtin(name).unwrap();
+        for seed in [1, 77, m.run.base_seed] {
+            assert_eq!(
+                m.scenario(seed),
+                Scenario::paper_default(seed),
+                "`{name}` scenario differs at seed {seed}"
+            );
+        }
     }
 }
 

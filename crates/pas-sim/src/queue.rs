@@ -10,9 +10,9 @@
 //! [`EventQueue`] is a two-level calendar (bucket) queue, replacing the
 //! original `BinaryHeap` (kept as [`HeapEventQueue`], the reference
 //! implementation the equivalence proptests and `pas bench --queue` compare
-//! against). Time is quantised into ticks of [`TICK_S`] seconds; a ring of
-//! [`BUCKETS`] buckets covers the window `[cursor, cursor + BUCKETS)` ticks,
-//! one tick per bucket. Operations:
+//! against). Time is quantised into ticks of `TICK_S` (¼ s); a ring of
+//! `BUCKETS` (1024) buckets covers the window `[cursor, cursor + BUCKETS)`
+//! ticks, one tick per bucket. Operations:
 //!
 //! * **push** appends to its tick's bucket: O(1) for the common
 //!   "schedule ahead of now" case. Ticks beyond the window go to a sorted

@@ -50,8 +50,9 @@
 //! assert_eq!(batch.summaries.len(), manifest.policies.len());
 //! ```
 //!
-//! See `examples/` for full scenarios and `crates/pas-bench` for the
-//! binaries that regenerate every table and figure of the paper.
+//! See `examples/` for full scenarios. The paper's figures are the
+//! registry's `paper-default` (Figs. 4/6) and `paper-alert` (Figs. 5/7)
+//! manifests, run with `pas run` or `pas report`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
