@@ -236,6 +236,20 @@ mod tests {
     }
 
     #[test]
+    fn plume_monitoring_layout_never_saturates() {
+        // The registry's plume-monitoring deployment: every seed must
+        // place all 60 nodes, or `positions()` panics mid-batch.
+        let region = Aabb::from_size(100.0, 40.0);
+        let short: Vec<u64> = (0..5000u64)
+            .filter(|&seed| {
+                let mut rng = Rng::substream(seed, crate::runner::STREAM_DEPLOY);
+                deploy::poisson_disk(region, 60, 6.0, &mut rng).len() < 60
+            })
+            .collect();
+        assert!(short.is_empty(), "short deployments for seeds {short:?}");
+    }
+
+    #[test]
     fn topology_has_all_nodes() {
         let t = Scenario::paper_default(5).topology();
         assert_eq!(t.len(), 30);

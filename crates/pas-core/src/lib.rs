@@ -51,8 +51,8 @@
 //! [`runner::run`] wires a [`Scenario`] (deployment + topology), a
 //! `StimulusField` ground truth, and a [`RunConfig`] into a deterministic
 //! discrete-event simulation, returning the paper's two metrics plus
-//! diagnostics. See the crate examples and `pas-bench` for the full
-//! experiment set.
+//! diagnostics. The full experiment set is the scenario registry's
+//! manifests, run through `pas run` / `pas report`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

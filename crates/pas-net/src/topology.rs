@@ -36,7 +36,7 @@ impl Topology {
         // Below a few hundred nodes a direct O(n²) scan beats building the
         // spatial hash (no allocation per cell, no hash walk), and at the
         // paper's n=100 it is the difference between topology construction
-        // showing up in `pas bench` and not. The predicate is the same
+        // showing up in a batch profile and not. The predicate is the same
         // squared comparison the grid uses, so both paths produce identical
         // neighbour sets even at the range boundary; the scan visits j in
         // ascending order, so no sort is needed.

@@ -3,7 +3,7 @@
 //!
 //! Every JSON document the workspace exchanges — sink rows, job
 //! envelopes, dist control messages, metric history, Chrome traces,
-//! profiles, bench histories — is written by hand around [`quote`] /
+//! profiles — is written by hand around [`quote`] /
 //! [`escape_into`] and read back through [`Value`]. The walker borrows
 //! the source text and builds no tree: [`Value::get`] scans an object's
 //! *top-level* members, skipping each value whole, so a key that only

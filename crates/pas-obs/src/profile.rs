@@ -372,11 +372,6 @@ impl ProfileTable {
 
 static GLOBAL: OnceLock<ProfileTable> = OnceLock::new();
 
-/// Profiling's own collection switch, ANDed with the registry-wide
-/// [`enabled`](crate::enabled) flag so `pas bench` can price region
-/// profiling separately from metrics and spans.
-static PROFILING: AtomicBool = AtomicBool::new(true);
-
 /// Detail-level switch for [`scope_detail`] (per-event sim-loop
 /// regions). Off by default: the hot loop is ~90 ns/event, so these
 /// regions are opt-in (`pas profile <manifest>` turns them on).
@@ -387,14 +382,10 @@ pub fn global() -> &'static ProfileTable {
     GLOBAL.get_or_init(ProfileTable::with_defaults)
 }
 
-/// Whether region collection is on (both switches).
+/// Whether region collection is on: the registry-wide
+/// [`enabled`](crate::enabled) switch.
 pub fn profiling() -> bool {
-    crate::enabled() && PROFILING.load(Ordering::Relaxed)
-}
-
-/// Toggle region collection (metrics and spans are unaffected).
-pub fn set_profiling(on: bool) {
-    PROFILING.store(on, Ordering::Relaxed);
+    crate::enabled()
 }
 
 /// Whether detail-level regions are also collected.
@@ -1147,16 +1138,5 @@ mod tests {
             .map(|e| e.samples)
             .sum();
         assert!(after > before, "sampler saw the open scope");
-    }
-
-    #[test]
-    fn disabled_scope_is_inert() {
-        set_profiling(false);
-        {
-            let s = scope("never.recorded");
-            assert_eq!(s.depth, 0);
-        }
-        set_profiling(true);
-        assert!(!snapshot().iter().any(|e| e.key() == "never.recorded"));
     }
 }

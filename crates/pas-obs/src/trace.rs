@@ -14,7 +14,7 @@
 //! The store follows the registry's discipline: collection is cheap
 //! (one id mint + one sharded lock push), always-on-able behind the
 //! global [`enabled`](crate::enabled) switch (plus its own
-//! [`set_tracing`] toggle so `pas bench` can price tracing alone), and
+//! [`set_tracing`] toggle, which `pas serve` ties to `--metrics`), and
 //! strictly observational — nothing reads a span back into a result.
 //! Capacity is bounded: each of [`SHARDS`] ring shards
 //! holds at most [`DEFAULT_SPANS_PER_SHARD`] spans; when full the
@@ -207,8 +207,8 @@ pub fn proc_tag() -> &'static str {
 static GLOBAL: OnceLock<TraceStore> = OnceLock::new();
 
 /// Tracing's own collection switch, ANDed with the registry-wide
-/// [`enabled`](crate::enabled) flag so `pas bench` can price span
-/// recording separately from metrics.
+/// [`enabled`](crate::enabled) flag so `pas serve` records spans only
+/// with `--metrics`.
 static TRACING: AtomicBool = AtomicBool::new(true);
 
 /// The process-global span store.

@@ -51,7 +51,7 @@ pub use time::SimTime;
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::engine::{Engine, StopReason};
-    pub use crate::queue::{EventQueue, HeapEventQueue};
+    pub use crate::queue::EventQueue;
     pub use crate::rng::Rng;
     pub use crate::time::SimTime;
 }

@@ -9,8 +9,7 @@
 //!
 //! [`EventQueue`] is a two-level calendar (bucket) queue, replacing the
 //! original `BinaryHeap` (kept as [`HeapEventQueue`], the reference
-//! implementation the equivalence proptests and `pas bench --queue` compare
-//! against). Time is quantised into ticks of `TICK_S` (¼ s); a ring of
+//! implementation the equivalence proptests compare against). Time is quantised into ticks of `TICK_S` (¼ s); a ring of
 //! `BUCKETS` (1024) buckets covers the window `[cursor, cursor + BUCKETS)`
 //! ticks, one tick per bucket. Operations:
 //!
@@ -420,8 +419,8 @@ impl<E> Ord for Scheduled<E> {
 
 /// The original `BinaryHeap`-backed stable queue, kept as the reference
 /// implementation: the calendar [`EventQueue`] must pop in exactly this
-/// order (verified by proptest), and `pas bench --queue` benchmarks the two
-/// against each other.
+/// order. Nothing in the simulator uses it: it exists only as the oracle
+/// of the equivalence proptests (`tests/prop.rs`).
 #[derive(Debug)]
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,

@@ -14,8 +14,6 @@
 //! pas status [options]             server health + per-worker progress
 //! pas top [options]                live fleet dashboard from /metrics/history
 //! pas profile [options]            region profile: flamegraph / folded / json
-//! pas bench [options]              time expansion, batches, dist scaling,
-//!                                  server saturation (--server)
 //! ```
 //!
 //! Scenario arguments resolve against the built-in registry first and fall
@@ -65,9 +63,6 @@ USAGE:
                                       (detail regions on) or sample a running
                                       server's /profile window, as a folded
                                       stack listing, SVG flamegraph, or JSON
-    pas bench [options]               time expansion, batches, dist scaling,
-                                      or server saturation (--server); gate on
-                                      the unified bench history
 
 RUN OPTIONS:
     --out FILE.csv       write per-point delay/energy summaries
@@ -160,44 +155,6 @@ PROFILE OPTIONS:
                          N Hz, populating per-stack sample counts
     --threads N          local mode: execution threads (default 1)
     --out FILE           write the rendering to FILE instead of stdout
-
-BENCH OPTIONS:
-    --out FILE           output JSON path (default BENCH_batch.json,
-                         BENCH_dist.json with --dist,
-                         BENCH_predictors.json with --predictors,
-                         BENCH_queue.json with --queue, or
-                         BENCH_server.json with --server); results
-                         append to the file's versioned history with
-                         commit/date metadata (legacy files upgrade in place)
-    --server             saturation load harness: ramp concurrent closed-loop
-                         submit clients against a server (an in-process one
-                         unless --addr names a live instance), find the
-                         throughput knee, and record max sustained jobs/s,
-                         p99 at the knee, and error/429 counts
-    --addr HOST:PORT     with --server: target a running server instead of
-                         booting an in-process one
-    --max-clients N      with --server: top of the 1,2,4,.. client ramp
-                         (default 32)
-    --step-ms N          with --server: measured duration of each ramp step
-                         (default 1500)
-    --dist N             distributed scaling bench: cold-run paper-default
-                         on in-process fleets of 1/2/../N single-threaded
-                         workers vs the single-process baseline
-    --predictors         per-predictor hot-path bench: sequential point
-                         throughput of every arrival-predictor variant on
-                         the paper workload
-    --queue              event-queue microbench: steady-state push+pop
-                         throughput of the calendar queue vs the heap
-                         reference at 1k/100k/1M pending events
-    --profile            batch bench only: also time the sequential grid
-                         with region profiling off, record the derived
-                         profile_overhead_pct and a per-region self-time
-                         breakdown in BENCH_batch.json
-    --gate [FILES...]    regression gate: compare each history's newest
-                         entry against the previous one; exit non-zero on a
-                         throughput drop beyond the tolerance (default
-                         files: the three BENCH_*.json)
-    --max-drop PCT       gate tolerance, percent (default 35)
 "
 }
 
@@ -1594,802 +1551,6 @@ fn cmd_submit(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-// ---------------------------------------------------------------------------
-// bench
-// ---------------------------------------------------------------------------
-
-/// Record one bench payload into its history file: append with
-/// commit/date metadata (upgrading legacy single-object files in
-/// place), echo the payload, and report the history depth.
-fn record_bench(out: &Path, payload: &str) -> ExitCode {
-    let commit = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
-    let date = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .ok()
-        .map(|d| pas_bench::civil_date(d.as_secs()));
-    match pas_bench::append(out, payload, commit, date) {
-        Ok(history) => {
-            print!("{payload}");
-            eprintln!(
-                "appended to {} ({} entries)",
-                out.display(),
-                history.entries.len()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(format!("recording {}: {e}", out.display())),
-    }
-}
-
-/// `pas bench --gate`: fail on a throughput cliff between the two
-/// newest entries of each bench history.
-fn cmd_bench_gate(max_drop_pct: f64, files: &[PathBuf]) -> ExitCode {
-    let defaults = [
-        "BENCH_batch.json",
-        "BENCH_dist.json",
-        "BENCH_predictors.json",
-        "BENCH_queue.json",
-        "BENCH_server.json",
-    ];
-    let files: Vec<PathBuf> = if files.is_empty() {
-        defaults.iter().map(PathBuf::from).collect()
-    } else {
-        files.to_vec()
-    };
-    let mut failed = false;
-    for path in &files {
-        let history = match pas_bench::BenchHistory::load(path) {
-            Ok(Some(h)) => h,
-            Ok(None) => {
-                println!("gate {:<28} absent, skipped", path.display());
-                continue;
-            }
-            Err(e) => return fail(format!("{}: {e}", path.display())),
-        };
-        let outcome = pas_bench::gate(&history, max_drop_pct);
-        let verdict = if !outcome.ok {
-            failed = true;
-            "FAIL"
-        } else {
-            "ok"
-        };
-        match (outcome.previous, outcome.latest, &outcome.key) {
-            (Some(prev), Some(latest), Some(key)) => println!(
-                "gate {:<28} {verdict}: {latest:.1} runs/s vs {prev:.1} at {key} \
-                 ({:+.1}% drop, tolerance {max_drop_pct:.0}%)",
-                path.display(),
-                outcome.drop_pct
-            ),
-            _ => println!(
-                "gate {:<28} {verdict}: no two entries with a shared configuration",
-                path.display()
-            ),
-        }
-    }
-    if failed {
-        fail("bench regression gate failed")
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// Smoke benchmark: expansion throughput and a small batch execute —
-/// timed with the observability registry on and off, so the history
-/// tracks instrumentation overhead — as JSON other PRs can diff for a
-/// perf trajectory (BENCH_batch.json).
-/// With `--dist N`, instead measure distributed scaling: cold-run the
-/// full paper-default grid on in-process fleets of 1, 2, 4, …, N
-/// single-threaded workers against a real `--no-local-exec` server, and
-/// record throughput and efficiency vs the single-process sequential
-/// baseline (BENCH_dist.json). Every result appends to the unified
-/// versioned history (`pas-bench::history`); `--gate` checks the
-/// newest entries for throughput cliffs instead of running anything.
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let mut out: Option<PathBuf> = None;
-    let mut dist: Option<usize> = None;
-    let mut predictors = false;
-    let mut queue = false;
-    let mut profile = false;
-    let mut gate = false;
-    let mut server = false;
-    let mut addr: Option<String> = None;
-    let mut max_clients = 32usize;
-    let mut step_ms = 1500u64;
-    let mut max_drop_pct = pas_bench::DEFAULT_MAX_DROP_PCT;
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(v) => out = Some(PathBuf::from(v)),
-                None => return fail("--out needs a file path"),
-            },
-            "--dist" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => dist = Some(n),
-                _ => return fail("--dist needs a worker count >= 1"),
-            },
-            "--predictors" => predictors = true,
-            "--queue" => queue = true,
-            "--profile" => profile = true,
-            "--gate" => gate = true,
-            "--server" => server = true,
-            "--addr" => match it.next() {
-                Some(v) => addr = Some(v.clone()),
-                None => return fail("--addr needs HOST:PORT"),
-            },
-            "--max-clients" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => max_clients = n,
-                _ => return fail("--max-clients needs a count >= 1"),
-            },
-            "--step-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n >= 100 => step_ms = n,
-                _ => return fail("--step-ms needs a duration >= 100"),
-            },
-            "--max-drop" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(p)) if p >= 0.0 => max_drop_pct = p,
-                _ => return fail("--max-drop needs a percentage >= 0"),
-            },
-            other if other.starts_with('-') => {
-                return fail(format!("unknown bench option `{other}`"))
-            }
-            other => files.push(PathBuf::from(other)),
-        }
-    }
-    if gate {
-        return cmd_bench_gate(max_drop_pct, &files);
-    }
-    if !files.is_empty() {
-        return fail("positional files only apply to --gate");
-    }
-    if server {
-        return cmd_bench_server(
-            addr,
-            max_clients,
-            step_ms,
-            out.unwrap_or_else(|| PathBuf::from("BENCH_server.json")),
-        );
-    }
-    if addr.is_some() {
-        return fail("--addr only applies to --server");
-    }
-    if predictors {
-        return cmd_bench_predictors(out.unwrap_or_else(|| PathBuf::from("BENCH_predictors.json")));
-    }
-    if queue {
-        return cmd_bench_queue(out.unwrap_or_else(|| PathBuf::from("BENCH_queue.json")));
-    }
-    if let Some(max_workers) = dist {
-        return cmd_bench_dist(
-            max_workers,
-            out.unwrap_or_else(|| PathBuf::from("BENCH_dist.json")),
-        );
-    }
-    let out = out.unwrap_or_else(|| PathBuf::from("BENCH_batch.json"));
-    let manifest = registry::builtin("paper-default").expect("builtin parses");
-    let points = match expand(&manifest) {
-        Ok(p) => p,
-        Err(e) => return fail(e),
-    };
-
-    // Expansion: many iterations, it is microseconds-scale.
-    let expand_iters = 200u32;
-    let t0 = std::time::Instant::now();
-    for _ in 0..expand_iters {
-        let p = expand(&manifest).expect("expansion is deterministic");
-        assert_eq!(p.len(), points.len());
-    }
-    let expand_ns = t0.elapsed().as_nanos() as u64 / u64::from(expand_iters);
-
-    // Execution: a fixed sub-grid, sequential for machine-independence.
-    // Timed three ways — the shipping configuration (metrics + span
-    // tracing collecting, under an ambient trace context so `exec.point`
-    // spans actually record; `execute_us_sequential` keeps the gate's
-    // trend line continuous), tracing disabled (`execute_us_trace_off`,
-    // isolating the span recorder's overhead), and the whole registry
-    // disabled (`execute_us_obs_off`). The derived `trace_overhead_pct`
-    // and `obs_overhead_pct` ride the same gated history.
-    let mut small = manifest.clone();
-    small.sweep[0].values = vec![4.0, 12.0].into();
-    small.run.replicates = 4;
-    let n_runs = match expand(&small) {
-        Ok(p) => p.len(),
-        Err(e) => return fail(e),
-    };
-    let timed = |obs: bool,
-                 tracing: bool,
-                 profiling: bool|
-     -> Result<(u64, pas_scenario::BatchResult), String> {
-        pas_obs::set_enabled(obs);
-        pas_obs::trace::set_tracing(tracing);
-        pas_obs::profile::set_profiling(profiling);
-        let mut best: Option<(u64, pas_scenario::BatchResult)> = None;
-        for _ in 0..3 {
-            // Fresh trace per iteration; threads=1 executes inline on
-            // this thread, so the ambient context reaches every point.
-            let trace = pas_obs::trace::mint_id();
-            let _ctx = pas_obs::trace::enter(trace, pas_obs::trace::mint_id());
-            let t = std::time::Instant::now();
-            let batch = execute(&small, ExecOptions { threads: 1 }).map_err(|e| e.to_string())?;
-            let us = t.elapsed().as_micros() as u64;
-            if best.as_ref().is_none_or(|(b, _)| us < *b) {
-                best = Some((us, batch));
-            }
-        }
-        Ok(best.expect("three timed iterations"))
-    };
-    // Region profiling rides the shipping configuration (the coarse
-    // scopes are always on), so `execute_us_sequential` stays continuous
-    // with pre-profiler history. Zero the table first so the breakdown
-    // below attributes only this bench's own runs.
-    pas_obs::profile::reset();
-    // The history sampler also rides the shipping configuration, at an
-    // aggressive interval so the pair is a worst-case bound: it stays
-    // running through every on-variant and is dropped only for the
-    // `execute_us_history_off` re-measurement below.
-    let history_sampler = pas_obs::history::start_sampler(pas_obs::history::HistoryConfig {
-        interval: Duration::from_millis(100),
-        retention: 64,
-    });
-    let (exec_us, batch) = match timed(true, true, true) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    // Snapshot now: the later off-variant runs would dilute the calls.
-    let regions = profile.then(profile_region_json);
-    let exec_us_trace_off = match timed(true, false, true) {
-        Ok((us, _)) => us,
-        Err(e) => return fail(e),
-    };
-    let exec_us_profile_off = if profile {
-        match timed(true, true, false) {
-            Ok((us, _)) => Some(us),
-            Err(e) => return fail(e),
-        }
-    } else {
-        None
-    };
-    let exec_us_off = match timed(false, false, false) {
-        Ok((us, _)) => us,
-        Err(e) => return fail(e),
-    };
-    // Sampler-off pair: stop (and join) the history thread, re-run the
-    // shipping configuration. The delta is what background sampling
-    // costs the hot path — budgeted under 2% like the other pairs.
-    drop(history_sampler);
-    let exec_us_history_off = match timed(true, true, true) {
-        Ok((us, _)) => us,
-        Err(e) => return fail(e),
-    };
-    pas_obs::set_enabled(true);
-    pas_obs::trace::set_tracing(true);
-    pas_obs::profile::set_profiling(true);
-    let overhead = |on: u64, off: u64| {
-        if off > 0 {
-            (on as f64 / off as f64 - 1.0) * 100.0
-        } else {
-            0.0
-        }
-    };
-    let overhead_pct = overhead(exec_us, exec_us_off);
-    let trace_overhead_pct = overhead(exec_us, exec_us_trace_off);
-    let history_overhead_pct = overhead(exec_us, exec_us_history_off);
-    // `--profile` contributes three extra fields; without it the payload
-    // is byte-identical to the pre-profiler shape.
-    let profile_fields = match (exec_us_profile_off, regions) {
-        (Some(off_us), Some(regions)) => format!(
-            "  \"execute_us_profile_off\": {off_us},\n  \
-             \"profile_overhead_pct\": {:.2},\n  \
-             \"profile_regions\": {regions},\n",
-            overhead(exec_us, off_us)
-        ),
-        _ => String::new(),
-    };
-    let json = format!(
-        "{{\n  \"bench\": \"batch\",\n  \"scenario\": \"paper-default\",\n  \
-         \"expand_runs\": {},\n  \"expand_ns_per_iter\": {expand_ns},\n  \
-         \"execute_runs\": {n_runs},\n  \"execute_us_sequential\": {exec_us},\n  \
-         \"execute_us_trace_off\": {exec_us_trace_off},\n  \
-         \"trace_overhead_pct\": {trace_overhead_pct:.2},\n  \
-         \"execute_us_obs_off\": {exec_us_off},\n  \"obs_overhead_pct\": {overhead_pct:.2},\n  \
-         \"execute_us_history_off\": {exec_us_history_off},\n  \
-         \"history_overhead_pct\": {history_overhead_pct:.2},\n\
-         {profile_fields}  \
-         \"execute_us_per_run\": {},\n  \"events_total\": {}\n}}\n",
-        points.len(),
-        exec_us / n_runs as u64,
-        batch
-            .records
-            .iter()
-            .map(|r| r.events_processed)
-            .sum::<u64>(),
-    );
-    record_bench(&out, &json)
-}
-
-/// The global profile table folded down to a per-region JSON array:
-/// entries sharing a leaf region merge (self-time and calls summed over
-/// every stack path ending there), sorted by self-time descending with
-/// name as the deterministic tie-break.
-fn profile_region_json() -> String {
-    let mut agg: Vec<(String, u64, u64, u64)> = Vec::new();
-    for e in pas_obs::profile::snapshot() {
-        let Some(leaf) = e.stack.last() else { continue };
-        match agg.iter_mut().find(|(name, ..)| name == leaf) {
-            Some((_, calls, self_ns, total_ns)) => {
-                *calls += e.calls;
-                *self_ns += e.self_ns();
-                *total_ns += e.total_ns;
-            }
-            None => agg.push((leaf.clone(), e.calls, e.self_ns(), e.total_ns)),
-        }
-    }
-    agg.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
-    let items: Vec<String> = agg
-        .iter()
-        .map(|(name, calls, self_ns, total_ns)| {
-            format!(
-                "    {{\"region\": \"{name}\", \"calls\": {calls}, \
-                 \"self_us\": {}, \"total_us\": {}}}",
-                self_ns / 1_000,
-                total_ns / 1_000
-            )
-        })
-        .collect();
-    if items.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n{}\n  ]", items.join(",\n"))
-    }
-}
-
-/// Per-predictor hot-path bench: sequential point throughput of every
-/// arrival-predictor variant on a fixed paper-workload sub-grid, so the
-/// perf trajectory tracks the estimation path itself — the code inside
-/// the wake-decision loop — not just batch/dist plumbing
-/// (BENCH_predictors.json).
-fn cmd_bench_predictors(out: PathBuf) -> ExitCode {
-    let base = registry::builtin("paper-default").expect("builtin parses");
-    let mut entries = Vec::new();
-    let mut runs_per_predictor = 0usize;
-    for name in pas_core::PREDICTOR_NAMES {
-        // One PAS policy mounting the variant, over the Fig. 4 operating
-        // slice: 2 axis points x 8 seeds, sequential for comparability.
-        let mut m = base.clone();
-        m.name = "bench-predictors".to_string();
-        m.policies.retain(|p| p.kind == "pas");
-        m.policies[0].predictor = pas_core::PredictorSpec::from_name(name);
-        m.sweep[0].values = vec![4.0, 12.0].into();
-        m.run.replicates = 8;
-        let n_runs = match expand(&m) {
-            Ok(p) => p.len(),
-            Err(e) => return fail(e),
-        };
-        runs_per_predictor = n_runs;
-        let t0 = std::time::Instant::now();
-        let batch = match execute(&m, ExecOptions { threads: 1 }) {
-            Ok(b) => b,
-            Err(e) => return fail(e),
-        };
-        let us = t0.elapsed().as_micros() as u64;
-        let events: u64 = batch.records.iter().map(|r| r.events_processed).sum();
-        entries.push(format!(
-            "    {{\"predictor\": \"{name}\", \"execute_us\": {us}, \
-             \"us_per_run\": {}, \"runs_per_s\": {:.1}, \"events_total\": {events}}}",
-            us / n_runs as u64,
-            n_runs as f64 / (us as f64 / 1e6),
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"predictors\",\n  \"scenario\": \"paper-default\",\n  \
-         \"runs_per_predictor\": {runs_per_predictor},\n  \"predictors\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n"),
-    );
-    record_bench(&out, &json)
-}
-
-/// Event-queue microbench: steady-state push+pop throughput of the
-/// calendar queue against the heap reference, at several pending-set
-/// sizes. The workload mirrors the simulator's access pattern: hold N
-/// events pending and repeatedly pop the earliest, then push a
-/// replacement 0–20 s ahead of the popped time (an LCG supplies the
-/// jitter so both implementations see the identical sequence).
-fn cmd_bench_queue(out: PathBuf) -> ExitCode {
-    use pas_sim::{EventQueue, HeapEventQueue, SimTime};
-    const OPS: u64 = 200_000;
-    fn next_time(x: &mut u64, now: f64) -> f64 {
-        *x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-        now + ((*x >> 40) as f64) * (20.0 / 16777216.0)
-    }
-    fn bench<Q>(
-        n: usize,
-        mut push: impl FnMut(&mut Q, SimTime),
-        mut pop: impl FnMut(&mut Q) -> SimTime,
-        q: &mut Q,
-    ) -> u64 {
-        let mut x: u64 = 12345;
-        for _ in 0..n {
-            push(q, SimTime::from_secs(next_time(&mut x, 0.0)));
-        }
-        let t0 = std::time::Instant::now();
-        for _ in 0..OPS {
-            let now = pop(q).as_secs();
-            push(q, SimTime::from_secs(next_time(&mut x, now)));
-        }
-        (t0.elapsed().as_nanos() as u64).max(1) / OPS
-    }
-    let mut entries = Vec::new();
-    for &n in &[1_000usize, 100_000, 1_000_000] {
-        let label = match n {
-            1_000 => "n1k",
-            100_000 => "n100k",
-            _ => "n1m",
-        };
-        let mut cq: EventQueue<u32> = EventQueue::new();
-        let cal = bench(
-            n,
-            |q: &mut EventQueue<u32>, t| q.push(t, 0),
-            |q| q.pop().expect("queue holds n pending").0,
-            &mut cq,
-        );
-        let mut hq: HeapEventQueue<u32> = HeapEventQueue::new();
-        let heap = bench(
-            n,
-            |q: &mut HeapEventQueue<u32>, t| q.push(t, 0),
-            |q| q.pop().expect("queue holds n pending").0,
-            &mut hq,
-        );
-        for (impl_name, ns) in [("calendar", cal), ("heap", heap)] {
-            entries.push(format!(
-                "    {{\"config\": \"{impl_name}-{label}\", \"pending\": {n}, \
-                 \"ns_per_op\": {ns}, \"ops_per_s\": {:.1}}}",
-                1e9 / ns.max(1) as f64,
-            ));
-        }
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"queue\",\n  \"ops\": {OPS},\n  \"configs\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n"),
-    );
-    record_bench(&out, &json)
-}
-
-/// Distributed scaling bench: one in-process server + fleet per
-/// configuration, each starting from a cold cache so every point
-/// simulates remotely.
-fn cmd_bench_dist(max_workers: usize, out: PathBuf) -> ExitCode {
-    let manifest = registry::builtin("paper-default").expect("builtin parses");
-    let toml = manifest.to_toml();
-    let n_runs = match expand(&manifest) {
-        Ok(p) => p.len(),
-        Err(e) => return fail(e),
-    };
-
-    // Single-process sequential baseline (the PR 2 execution path).
-    let t0 = std::time::Instant::now();
-    if let Err(e) = execute(&manifest, ExecOptions { threads: 1 }) {
-        return fail(e);
-    }
-    let base_us = t0.elapsed().as_micros() as u64;
-
-    let mut counts: Vec<usize> = Vec::new();
-    let mut w = 1;
-    while w < max_workers {
-        counts.push(w);
-        w *= 2;
-    }
-    counts.push(max_workers);
-
-    let mut fleets = Vec::new();
-    for &workers in &counts {
-        let dir =
-            std::env::temp_dir().join(format!("pas_bench_dist_{}_{workers}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = match ResultCache::open(&dir) {
-            Ok(c) => c,
-            Err(e) => return fail(format!("opening {}: {e}", dir.display())),
-        };
-        let opts = ServerOptions {
-            local_exec: false,
-            ..ServerOptions::default()
-        };
-        let mut server = match Server::bind("127.0.0.1:0", cache.clone(), opts) {
-            Ok(s) => s,
-            Err(e) => return fail(format!("binding bench server: {e}")),
-        };
-        let addr = match server.local_addr() {
-            Ok(a) => a.to_string(),
-            Err(e) => return fail(format!("bench server addr: {e}")),
-        };
-        let scheduler = Scheduler::new(
-            server.queue(),
-            cache,
-            SchedulerOptions {
-                heartbeat: Duration::from_millis(200),
-                ..SchedulerOptions::default()
-            },
-        );
-        scheduler.spawn_ticker();
-        server.set_router(scheduler.into_router());
-        std::thread::spawn(move || server.run());
-
-        let fleet: Vec<_> = (0..workers)
-            .map(|i| {
-                let addr = addr.clone();
-                let opts = WorkerOptions {
-                    name: format!("bench-{i}"),
-                    threads: 1,
-                    verbose: false,
-                    ..WorkerOptions::default()
-                };
-                std::thread::spawn(move || pas_dist::worker::run(&addr, opts))
-            })
-            .collect();
-
-        let client = Client::new(addr);
-        let t1 = std::time::Instant::now();
-        let id = match client.submit_with_retry(&toml, RetryPolicy::default(), |_, _| {}) {
-            Ok(id) => id,
-            Err(e) => return fail(format!("bench submit: {e}")),
-        };
-        let status = match client.wait(id, Duration::from_millis(20)) {
-            Ok(s) => s,
-            Err(e) => return fail(format!("bench wait: {e}")),
-        };
-        let wall_us = t1.elapsed().as_micros() as u64;
-        if status.phase != "completed" || status.cache_misses != n_runs as u64 {
-            return fail(format!(
-                "bench fleet of {workers}: phase {}, {} simulated (want {n_runs})",
-                status.phase, status.cache_misses
-            ));
-        }
-        if let Err(e) = client.drain() {
-            return fail(format!("bench drain: {e}"));
-        }
-        for handle in fleet {
-            match handle.join() {
-                Ok(Ok(_)) => {}
-                Ok(Err(e)) => return fail(format!("bench worker: {e}")),
-                Err(_) => return fail("bench worker panicked"),
-            }
-        }
-        let speedup = base_us as f64 / wall_us as f64;
-        fleets.push(format!(
-            "    {{\"workers\": {workers}, \"wall_us\": {wall_us}, \
-             \"runs_per_s\": {:.1}, \"speedup\": {speedup:.3}, \
-             \"efficiency\": {:.3}}}",
-            n_runs as f64 / (wall_us as f64 / 1e6),
-            speedup / workers as f64,
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"dist\",\n  \"scenario\": \"paper-default\",\n  \
-         \"runs\": {n_runs},\n  \"baseline_sequential_us\": {base_us},\n  \
-         \"fleets\": [\n{}\n  ]\n}}\n",
-        fleets.join(",\n"),
-    );
-    record_bench(&out, &json)
-}
-
-/// Server saturation harness: ramp concurrent closed-loop submit
-/// clients (1, 2, 4, …, `max_clients`) against a live server, each
-/// submitting tiny warm-cache jobs and waiting for completion as fast
-/// as the control loop allows. Throughput climbs with concurrency
-/// until the server saturates; the knee is the smallest ramp step
-/// reaching ≥95% of the peak, and its p99 is the latency cost of
-/// operating there. Appends a `server-saturation` entry (per-step
-/// table, knee, max sustained jobs/s, error/429 counts) to
-/// BENCH_server.json under the versioned history schema.
-///
-/// Without `--addr` an in-process `--metrics` server (local exec,
-/// temp cache) is booted, so the bench also exercises the history
-/// sampler under load. The jobs are warm after one seed submission:
-/// the harness measures the submit→queue→cache→complete control loop —
-/// the saturation behaviour of the *server*, not the simulator.
-fn cmd_bench_server(
-    addr: Option<String>,
-    max_clients: usize,
-    step_ms: u64,
-    out: PathBuf,
-) -> ExitCode {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    // The smallest useful job: one axis point, one replicate.
-    let mut m = registry::builtin("paper-default").expect("builtin parses");
-    m.sweep[0].values = vec![4.0].into();
-    m.run.replicates = 1;
-    let toml = m.to_toml();
-
-    let mut cleanup_dir: Option<PathBuf> = None;
-    let addr = match addr {
-        Some(a) => a,
-        None => {
-            let dir = std::env::temp_dir().join(format!("pas_bench_server_{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let cache = match ResultCache::open(&dir) {
-                Ok(c) => c,
-                Err(e) => return fail(format!("opening {}: {e}", dir.display())),
-            };
-            let opts = ServerOptions {
-                metrics: true,
-                history_interval: Duration::from_millis(250),
-                history_retention: 240,
-                ..ServerOptions::default()
-            };
-            let server = match Server::bind("127.0.0.1:0", cache, opts) {
-                Ok(s) => s,
-                Err(e) => return fail(format!("binding bench server: {e}")),
-            };
-            let a = match server.local_addr() {
-                Ok(a) => a.to_string(),
-                Err(e) => return fail(format!("bench server addr: {e}")),
-            };
-            std::thread::spawn(move || server.run());
-            cleanup_dir = Some(dir);
-            a
-        }
-    };
-
-    // Seed submission: after this every harness job is a cache hit.
-    let seed = Client::new(addr.clone());
-    let id = match seed.submit_with_retry(&toml, RetryPolicy::default(), |_, _| {}) {
-        Ok(id) => id,
-        Err(e) => return fail(format!("bench seed submit to {addr}: {e}")),
-    };
-    match seed.wait(id, Duration::from_millis(5)) {
-        Ok(s) if s.phase == "completed" => {}
-        Ok(s) => {
-            return fail(format!(
-                "bench seed job {}: {}",
-                s.phase,
-                s.error.unwrap_or_default()
-            ))
-        }
-        Err(e) => return fail(format!("bench seed wait: {e}")),
-    }
-
-    let mut ramp: Vec<usize> = Vec::new();
-    let mut c = 1;
-    while c < max_clients {
-        ramp.push(c);
-        c *= 2;
-    }
-    ramp.push(max_clients);
-
-    struct Step {
-        clients: usize,
-        jobs: u64,
-        jobs_per_s: f64,
-        p50_us: u64,
-        p95_us: u64,
-        p99_us: u64,
-        errors: u64,
-        http_429: u64,
-    }
-    let mut steps: Vec<Step> = Vec::new();
-    for &clients in &ramp {
-        let stop = Arc::new(AtomicBool::new(false));
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                let addr = addr.clone();
-                let toml = toml.clone();
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let client = Client::new(addr);
-                    let mut latencies: Vec<u64> = Vec::new();
-                    let mut errors = 0u64;
-                    let mut http_429 = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let t0 = std::time::Instant::now();
-                        match client.submit(&toml) {
-                            Ok(id) => match client.wait(id, Duration::from_millis(2)) {
-                                Ok(s) if s.phase == "completed" => {
-                                    latencies.push(t0.elapsed().as_micros() as u64)
-                                }
-                                _ => errors += 1,
-                            },
-                            Err(ClientError::Api(429, _)) => {
-                                // Backpressure is an expected saturation
-                                // signal, not a failure: count and yield.
-                                http_429 += 1;
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                            Err(_) => {
-                                errors += 1;
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                        }
-                    }
-                    (latencies, errors, http_429)
-                })
-            })
-            .collect();
-        let t0 = std::time::Instant::now();
-        std::thread::sleep(Duration::from_millis(step_ms));
-        stop.store(true, Ordering::Relaxed);
-        let mut latencies: Vec<u64> = Vec::new();
-        let mut errors = 0u64;
-        let mut http_429 = 0u64;
-        for h in handles {
-            match h.join() {
-                Ok((lat, e, r)) => {
-                    latencies.extend(lat);
-                    errors += e;
-                    http_429 += r;
-                }
-                Err(_) => return fail("bench client thread panicked"),
-            }
-        }
-        let wall_s = t0.elapsed().as_secs_f64();
-        latencies.sort_unstable();
-        let q = |q: f64| -> u64 {
-            if latencies.is_empty() {
-                return 0;
-            }
-            let idx = ((q * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len()) - 1;
-            latencies[idx]
-        };
-        let jobs = latencies.len() as u64;
-        let step = Step {
-            clients,
-            jobs,
-            jobs_per_s: jobs as f64 / wall_s,
-            p50_us: q(0.50),
-            p95_us: q(0.95),
-            p99_us: q(0.99),
-            errors,
-            http_429,
-        };
-        eprintln!(
-            "bench --server: {:>4} client(s): {:>8.1} jobs/s, p99 {:>8}us, \
-             {} error(s), {} 429(s)",
-            clients, step.jobs_per_s, step.p99_us, errors, http_429
-        );
-        steps.push(step);
-    }
-    if let Some(dir) = cleanup_dir {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // The knee: smallest concurrency sustaining ≥95% of the peak —
-    // beyond it throughput plateaus and added clients only buy latency.
-    let max_jps = steps.iter().map(|s| s.jobs_per_s).fold(0.0, f64::max);
-    let knee = steps
-        .iter()
-        .find(|s| s.jobs_per_s >= 0.95 * max_jps)
-        .unwrap_or_else(|| steps.last().expect("ramp is non-empty"));
-    let (knee_clients, p99_at_knee) = (knee.clients, knee.p99_us);
-    let errors_total: u64 = steps.iter().map(|s| s.errors).sum();
-    let http_429_total: u64 = steps.iter().map(|s| s.http_429).sum();
-    let rows: Vec<String> = steps
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"clients\": {}, \"jobs\": {}, \"jobs_per_s\": {:.1}, \
-                 \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \
-                 \"errors\": {}, \"http_429\": {}}}",
-                s.clients, s.jobs, s.jobs_per_s, s.p50_us, s.p95_us, s.p99_us, s.errors, s.http_429
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"server\",\n  \"scenario\": \"server-saturation\",\n  \
-         \"step_ms\": {step_ms},\n  \"steps\": [\n{}\n  ],\n  \
-         \"knee_clients\": {knee_clients},\n  \"max_jobs_per_s\": {max_jps:.1},\n  \
-         \"p99_us_at_knee\": {p99_at_knee},\n  \"errors_total\": {errors_total},\n  \
-         \"http_429_total\": {http_429_total}\n}}\n",
-        rows.join(",\n"),
-    );
-    record_bench(&out, &json)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -2415,7 +1576,6 @@ fn main() -> ExitCode {
         Some("top") => cmd_top(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("--help") | Some("-h") | Some("help") | None => {
             print!("{}", usage());
             ExitCode::SUCCESS

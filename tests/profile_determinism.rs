@@ -17,7 +17,6 @@ fn csv_of(name: &str) -> String {
 
 #[test]
 fn golden_csvs_are_byte_identical_with_profiling_on() {
-    pas_obs::profile::set_profiling(true);
     pas_obs::profile::set_detail(true);
     let goldens = [
         ("paper-default", include_str!("golden/paper-default.csv")),
